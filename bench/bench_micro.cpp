@@ -373,9 +373,7 @@ std::vector<UpdateTrace> make_fanout_traces(std::size_t objects) {
 // string-keyed virtual call into every attached group per poll, each
 // walking its full member list with string compares and uri-hash δ-window
 // probes (the committed BENCH_baseline.json entries were measured on that
-// path — the pre-PR tree — so the trajectory records the routing win;
-// EngineConfig::legacy_dispatch keeps the broadcast *shape* reproducible
-// in-tree for the dispatch differential tests).
+// path, so the trajectory records the routing win).
 void BM_CoordinatorFanout(benchmark::State& state) {
   const std::size_t groups = static_cast<std::size_t>(state.range(0));
   const std::size_t objects = 128;

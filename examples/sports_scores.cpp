@@ -90,7 +90,8 @@ int main(int argc, char** argv) {
 
   if (crash) {
     sim.run_until(game / 2.0);
-    proxy.crash_and_recover();
+    proxy.crash();
+    proxy.recover();
     std::cout << "(proxy crashed and recovered at half-time: every TTR "
                  "reset to TTR_min)\n";
   }

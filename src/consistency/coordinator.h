@@ -16,9 +16,7 @@
 // uri strings (groups are configured by humans) and are interned once at
 // bind() through the `resolve` hook; `subscriptions()` hands the interned
 // ids back to the engine, which routes each poll only to the coordinators
-// actually watching that object.  String-keyed `on_poll` remains as a
-// translating wrapper for tests, examples and the legacy broadcast
-// dispatch mode.
+// actually watching that object.
 #pragma once
 
 #include <functional>
@@ -51,9 +49,7 @@ struct CoordinatorHooks {
 /// completed poll of a group member — including polls the coordinator
 /// itself triggered, so implementations must be self-stabilising (the δ
 /// window test below provides that naturally).  Polls of objects outside
-/// the member list are ignored, so subscription-routed dispatch (only
-/// watching coordinators are called) and broadcast dispatch (every
-/// coordinator hears every poll) are observably identical.
+/// the member list are ignored.
 class MutualCoordinator {
  public:
   virtual ~MutualCoordinator() = default;
@@ -61,16 +57,11 @@ class MutualCoordinator {
   virtual void on_poll(ObjectId object,
                        const TemporalPollObservation& obs) = 0;
 
-  /// Translating wrapper: resolves `uri` through the bound hooks and
-  /// forwards to the id overload.  One hash per call — tests, examples
-  /// and the legacy broadcast dispatch path only.
-  void on_poll(const std::string& uri, const TemporalPollObservation& obs);
-
   /// Interned ids of the objects this coordinator wants to hear about.
   /// Valid after bind(); the engine builds its per-object subscriber
-  /// index from this.  Pure virtual on purpose: under routed dispatch a
-  /// coordinator that forgets to subscribe silently never hears a poll,
-  /// so "watches nothing" (NullCoordinator) must be said explicitly.
+  /// index from this.  Pure virtual on purpose: a coordinator that
+  /// forgets to subscribe silently never hears a poll, so "watches
+  /// nothing" (NullCoordinator) must be said explicitly.
   virtual std::vector<ObjectId> subscriptions() const = 0;
 
   /// Forget learned state (crash recovery).
@@ -109,9 +100,8 @@ class MutualCoordinator {
 /// Baseline: individual consistency only.
 class NullCoordinator : public MutualCoordinator {
  public:
-  using MutualCoordinator::on_poll;
   void on_poll(ObjectId, const TemporalPollObservation&) override {}
-  /// Watches nothing: routed dispatch never calls it.
+  /// Watches nothing: the engine never calls it.
   std::vector<ObjectId> subscriptions() const override { return {}; }
 };
 

@@ -47,8 +47,8 @@ void RateHeuristicCoordinator::reset() {
 
 void RateHeuristicCoordinator::on_poll(ObjectId object,
                                        const TemporalPollObservation& obs) {
-  // Subscription-routed dispatch only delivers member polls; the check
-  // keeps the broadcast (legacy / fleet-style) paths equivalent.
+  // The engine's subscriber index only delivers member polls; direct
+  // callers may not, and a non-member poll must change nothing.
   const std::size_t self = member_index(object);
   if (self == kNotMember) return;
   estimators_[self].observe(obs);

@@ -34,7 +34,6 @@ class RateHeuristicCoordinator : public MutualCoordinator {
 
   RateHeuristicCoordinator(std::vector<std::string> members, Config config);
 
-  using MutualCoordinator::on_poll;
   void on_poll(ObjectId object, const TemporalPollObservation& obs) override;
   void reset() override;
 

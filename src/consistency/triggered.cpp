@@ -21,8 +21,8 @@ void TriggeredPollCoordinator::on_poll(ObjectId object,
                                        const TemporalPollObservation& obs) {
   if (!obs.modified) return;
   BROADWAY_CHECK_MSG(hooks_.trigger_poll, "coordinator used before bind()");
-  // Subscription-routed dispatch only delivers member polls; the check
-  // keeps the broadcast (legacy / fleet-style) paths equivalent.
+  // The engine's subscriber index only delivers member polls; direct
+  // callers may not, and a non-member poll must change nothing.
   if (std::find(member_ids_.begin(), member_ids_.end(), object) ==
       member_ids_.end()) {
     return;

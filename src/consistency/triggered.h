@@ -22,7 +22,6 @@ class TriggeredPollCoordinator : public MutualCoordinator {
   TriggeredPollCoordinator(std::vector<std::string> members,
                            Duration delta_mutual);
 
-  using MutualCoordinator::on_poll;
   void on_poll(ObjectId object, const TemporalPollObservation& obs) override;
 
   std::vector<ObjectId> subscriptions() const override { return member_ids_; }

@@ -19,9 +19,13 @@ std::string fmt_seconds(double v) {
   return buf;
 }
 
+// Decimal seconds.  strtod also accepts "nan" and "inf"; neither is an
+// instant or a tolerance, and a NaN would slip past the history's
+// ordering check (every comparison with NaN is false), so both are
+// malformed here.
 std::optional<double> parse_seconds(std::string_view text) {
   double v;
-  if (!parse_double(text, v)) return std::nullopt;
+  if (!parse_double(text, v) || !std::isfinite(v)) return std::nullopt;
   return v;
 }
 

@@ -61,8 +61,10 @@ void set_last_modified(Headers& headers, TimePoint t);
 std::optional<TimePoint> get_last_modified(const Headers& headers);
 
 /// Encode/decode the modification-history extension.  `instants` must be
-/// ascending; decode returns nullopt on malformed input (absent header
-/// decodes as an empty vector).
+/// ascending; decode returns nullopt on malformed input — a non-numeric
+/// or non-finite entry, or entries out of order (absent header decodes as
+/// an empty vector).  Every decimal-seconds reader below likewise rejects
+/// `nan` and `inf`.
 void set_modification_history(Headers& headers,
                               const std::vector<TimePoint>& instants);
 std::optional<std::vector<TimePoint>> get_modification_history(
@@ -86,13 +88,15 @@ std::optional<double> get_object_value(const Headers& headers);
 //
 // The sideband in RequestMeta/ResponseMeta carries the same validators and
 // extensions as the headers above, without formatting or parsing.  The
-// readers below prefer the typed representation and fall back to parsing
-// header strings, so every consumer behaves identically whichever way the
-// message travelled.
+// polling engine exchanges typed messages only; header strings carry
+// everything else (HEAD, codec-parsed messages, the push and collector
+// clients).  The readers below prefer the typed representation and fall
+// back to parsing header strings, so every consumer behaves identically
+// whichever way the message travelled.
 
 /// Quantise an instant exactly as the %.3f header rendering + strtod
-/// re-parse would: the typed path must make the same (millisecond) values
-/// visible to policies as the string path, bit for bit.
+/// re-parse would: the typed sideband must carry the same (millisecond)
+/// values the rendered headers would, bit for bit.
 TimePoint quantize_wire_seconds(TimePoint t);
 
 /// If-Modified-Since: typed when request.meta.active, else parsed.

@@ -1,15 +1,9 @@
 #include "origin/origin_server.h"
 
 #include "util/check.h"
-#include "util/env.h"
 #include "util/log.h"
 
 namespace broadway {
-
-bool OriginServer::Config::default_batch_trace_attachment() {
-  return env_choice("BROADWAY_TRACE_ATTACHMENT", {"batch", "per-update"},
-                    /*fallback=*/0) == 0;
-}
 
 OriginServer::OriginServer(Simulator& sim) : OriginServer(sim, Config()) {}
 
@@ -37,17 +31,7 @@ VersionedObject& OriginServer::attach_update_trace(const std::string& uri,
                                                    const UpdateTrace& trace) {
   VersionedObject* existing = store_.find(uri);
   VersionedObject& object = existing ? *existing : add_object(uri);
-  if (config_.batch_trace_attachment) {
-    attach_chained(object, trace.updates(), {});
-    return object;
-  }
-  for (TimePoint t : trace.updates()) {
-    BROADWAY_CHECK_MSG(t >= sim_.now(), "trace update in the past at " << t);
-    VersionedObject* target = &object;
-    sim_.schedule_at(t, [this, target] {
-      target->apply_update(sim_.now());
-    });
-  }
+  attach_chained(object, trace.updates(), {});
   return object;
 }
 
@@ -55,27 +39,15 @@ VersionedObject& OriginServer::attach_value_trace(const std::string& uri,
                                                   const ValueTrace& trace) {
   BROADWAY_CHECK_MSG(!store_.contains(uri), "duplicate value object " << uri);
   VersionedObject& object = add_value_object(uri, trace.initial_value());
-  if (config_.batch_trace_attachment) {
-    std::vector<TimePoint> times;
-    std::vector<double> values;
-    times.reserve(trace.steps().size());
-    values.reserve(trace.steps().size());
-    for (const auto& step : trace.steps()) {
-      times.push_back(step.time);
-      values.push_back(step.value);
-    }
-    attach_chained(object, std::move(times), std::move(values));
-    return object;
-  }
+  std::vector<TimePoint> times;
+  std::vector<double> values;
+  times.reserve(trace.steps().size());
+  values.reserve(trace.steps().size());
   for (const auto& step : trace.steps()) {
-    BROADWAY_CHECK_MSG(step.time >= sim_.now(),
-                       "trace step in the past at " << step.time);
-    VersionedObject* target = &object;
-    const double value = step.value;
-    sim_.schedule_at(step.time, [this, target, value] {
-      target->apply_update(sim_.now(), value);
-    });
+    times.push_back(step.time);
+    values.push_back(step.value);
   }
+  attach_chained(object, std::move(times), std::move(values));
   return object;
 }
 
@@ -96,7 +68,7 @@ void OriginServer::attach_chained(VersionedObject& object,
   cursor->times = std::move(times);
   cursor->values = std::move(values);
   // One reserved sequence number per update: the chain fires in exactly
-  // the same-instant order the eager per-update schedule would have.
+  // the same-instant order one pre-scheduled event per update would.
   cursor->seq_base = sim_.reserve_sequence(cursor->times.size());
   TraceCursor* raw = cursor.get();
   trace_cursors_.push_back(std::move(cursor));

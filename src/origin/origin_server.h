@@ -45,18 +45,6 @@ class OriginServer {
     bool history_enabled = true;
     std::size_t history_limit = 16;
     bool render_bodies = true;
-    /// Attach traces as ONE self-rechaining simulator event per trace
-    /// (the chain re-enqueues itself at the next update instant) instead
-    /// of one pre-scheduled event per update.  The chain spends FIFO
-    /// sequence numbers reserved at attach time, so same-instant
-    /// interleaving with polls is byte-identical either way — pinned by
-    /// tests/test_scheduler_differential.cpp.  Batching keeps the pending
-    /// set proportional to the number of *traces*, not updates.
-    bool batch_trace_attachment = default_batch_trace_attachment();
-
-    /// True, unless the BROADWAY_TRACE_ATTACHMENT environment variable is
-    /// "per-update" (the differential tests and CI flip it).
-    static bool default_batch_trace_attachment();
   };
 
   explicit OriginServer(Simulator& sim);
@@ -72,13 +60,20 @@ class OriginServer {
   VersionedObject& add_value_object(const std::string& uri,
                                     double initial_value);
 
-  /// Create the object (if needed) and schedule one update event per trace
-  /// instant.  Must be called before the simulation passes the first
-  /// update.
+  /// Create the object (if needed) and replay the trace's updates on the
+  /// simulator's timeline.  Must be called before the simulation passes
+  /// the first update.
+  ///
+  /// Each attached trace is ONE self-rechaining simulator event (the chain
+  /// re-enqueues itself at the next update instant), so the pending set
+  /// scales with the number of traces, not updates.  The chain spends
+  /// FIFO sequence numbers reserved at attach time, so same-instant
+  /// updates interleave with polls exactly as one pre-scheduled event per
+  /// update would.
   VersionedObject& attach_update_trace(const std::string& uri,
                                        const UpdateTrace& trace);
 
-  /// Create a value object and schedule its ticks.
+  /// Create a value object and replay its ticks (chained as above).
   VersionedObject& attach_value_trace(const std::string& uri,
                                       const ValueTrace& trace);
 
@@ -123,7 +118,7 @@ class OriginServer {
   std::size_t responses_304() const { return responses_304_; }
 
  private:
-  /// Replay state of one batch-attached trace: the chained event applies
+  /// Replay state of one attached trace: the chained event applies
   /// update `next` and re-enqueues itself for `next + 1` with the
   /// sequence number reserved for it at attach time.
   struct TraceCursor {
@@ -141,7 +136,7 @@ class OriginServer {
   /// Dense ObjectId -> object lookup (nullptr where the table interned a
   /// uri this origin does not host, e.g. a proxy-only registration).
   std::vector<VersionedObject*> by_id_;
-  /// Cursors of batch-attached traces (stable addresses: the chained
+  /// Cursors of attached traces (stable addresses: the chained
   /// events capture raw pointers).
   std::vector<std::unique_ptr<TraceCursor>> trace_cursors_;
   std::size_t requests_served_ = 0;
@@ -151,7 +146,7 @@ class OriginServer {
   /// Lookup for the request: by interned id when present, else by uri.
   const VersionedObject* find_object(const Request& request) const;
 
-  /// Batch attachment: validate the trace, reserve its sequence numbers
+  /// Validate the trace, reserve its sequence numbers
   /// and schedule the head of the chain.  `values` is empty for temporal
   /// traces, else parallel to `times`.
   void attach_chained(VersionedObject& object, std::vector<TimePoint> times,

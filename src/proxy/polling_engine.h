@@ -24,22 +24,22 @@
 // add_coordinator time from the coordinator's interned member set), so the
 // notify stage costs O(subscribers-of-this-object) — nothing at all for
 // ungrouped objects — instead of a string-keyed virtual call per attached
-// coordinator per poll.  Exchanges use
-// the typed wire sideband (RequestMeta/ResponseMeta, see message.h) with a
-// per-engine scratch Request and a small pool of scratch Responses (one
-// per trigger-cascade depth), so a steady-state poll allocates nothing.
-// `EngineConfig::typed_wire = false` forces the legacy header-string
-// representation — the differential tests pin that both produce
-// byte-identical policy decisions, poll logs and fidelity results.
+// coordinator per poll.  Exchanges use the typed wire sideband
+// (RequestMeta/ResponseMeta, see message.h) with a per-engine scratch
+// Request and a small pool of scratch Responses (one per trigger-cascade
+// depth), so a steady-state poll allocates nothing.  The §5.1 header
+// strings are still what the origin renders for untyped requests (HEAD,
+// codec-parsed messages); tests/test_wire_differential.cpp pins the two
+// representations equal at the origin.
 //
 // Failure model:
 //  * lost polls — with `loss_probability`, a poll fails (no response); the
 //    engine retries after `retry_delay`, recording the failure;
-//  * proxy crash — `crash_and_recover()` resets every policy to TTR_min
-//    exactly as §3.1 prescribes ("recovering from a proxy failure simply
-//    involves resetting the TTRs of all objects to TTR_min").  Retries
-//    pending at the crash die with the proxy: recovery resets TTRs, it
-//    does not resurrect in-flight requests.
+//  * proxy crash — crash() takes the proxy dark and recover() resets every
+//    policy to TTR_min exactly as §3.1 prescribes ("recovering from a
+//    proxy failure simply involves resetting the TTRs of all objects to
+//    TTR_min").  Retries pending at the crash die with the proxy:
+//    recovery resets TTRs, it does not resurrect in-flight requests.
 //
 // Latency model: the paper fixes network latency and studies consistency
 // mechanisms, not network dynamics (§6.1.1).  A poll here is atomic at its
@@ -85,17 +85,6 @@ struct EngineConfig {
   Duration retry_delay = 5.0;
   /// Seed for the loss-injection stream.
   std::uint64_t seed = 42;
-  /// Exchange typed wire metadata in-process (the fast path).  False =
-  /// render and parse header strings per poll, as real HTTP would; kept
-  /// for the typed≡string differential tests and wire-level debugging.
-  bool typed_wire = true;
-  /// Route coordinator notifications through the pre-subscription fan-out:
-  /// every attached coordinator hears every temporal poll through the
-  /// string-keyed `on_poll(uri)` wrapper (one uri hash per coordinator per
-  /// poll).  Kept for the dispatch differential tests; the default
-  /// id-keyed path notifies only the coordinators subscribed to the
-  /// polled object.  Both paths produce byte-identical poll logs.
-  bool legacy_dispatch = false;
   /// Demand-fill the client miss path: a client read that misses the
   /// cache fetches the object from the origin (PollCause::kClientMiss)
   /// through the same pipeline as a policy poll — the filled copy enters
@@ -188,9 +177,6 @@ class PollingEngine {
     const TrackedObject* object = tracked(id);
     return object != nullptr && object->self_scheduled();
   }
-  bool relay_eligible(const std::string& uri) const {
-    return relay_eligible(uris_.find(uri));
-  }
 
   /// Earliest future instant at which `id` can start an origin poll from
   /// its own schedule: its refresh-timer fire or the soonest pending
@@ -226,14 +212,6 @@ class PollingEngine {
 
   // ---- runtime ----
 
-  /// Simulate a proxy crash + recovery at the current instant: every
-  /// policy and coordinator resets; every timer restarts at its policy's
-  /// initial TTR; retries pending for polls lost before the crash are
-  /// dropped.  Cached payloads survive (they are on disk); learned polling
-  /// state does not.  Equivalent to crash() immediately followed by
-  /// recover().
-  void crash_and_recover();
-
   /// Take the proxy dark at the current instant: every poll timer stops,
   /// pending retries die, and until recover() the engine refuses new work
   /// — client reads are served from the (possibly stale) disk cache or
@@ -242,9 +220,11 @@ class PollingEngine {
   /// the fault-injection schedule (fleet/faults.h).
   void crash();
 
-  /// Bring a dark proxy back: the §3.1 recovery semantics of
-  /// crash_and_recover() — every policy and coordinator resets, every
-  /// timer restarts at its policy's initial TTR.
+  /// Bring a dark proxy back with the §3.1 recovery semantics: every
+  /// policy and coordinator resets, and every timer restarts at its
+  /// policy's initial TTR.  Cached payloads survive the crash (they are on
+  /// disk); learned polling state does not.  A crash-and-recover at one
+  /// instant is crash() immediately followed by recover().
   void recover();
 
   /// True between crash() and recover().
@@ -273,10 +253,6 @@ class PollingEngine {
   /// cached copy is already current (200) or not validated by the relay
   /// (304).
   bool apply_relay(ObjectId id, const Response& response, TimePoint snapshot);
-  bool apply_relay(const std::string& uri, const Response& response,
-                   TimePoint snapshot) {
-    return apply_relay(uris_.find(uri), response, snapshot);
-  }
 
   /// One client read served by this proxy at the current instant.
   struct ClientRead {
@@ -437,7 +413,7 @@ class PollingEngine {
   std::vector<std::unique_ptr<PartitionedGroup>> partitioned_groups_;
 
   PollLog poll_log_;
-  // Coordinator on_poll calls dispatched (both dispatch modes).
+  // Coordinator on_poll calls dispatched.
   std::uint64_t coordinator_notifies_ = 0;
   // Retry events scheduled for lost polls; cancelled on crash.
   std::unordered_set<EventId> pending_retries_;
@@ -484,10 +460,8 @@ class PollingEngine {
                             PollCause cause, TimePoint snapshot,
                             TimePoint visible, TimePoint previous);
 
-  // Stage 6: coordinator dispatch.  The id-keyed default walks the
-  // object's subscriber index (empty for ungrouped objects — the loop
-  // body never runs); EngineConfig::legacy_dispatch restores the
-  // broadcast-to-every-coordinator fan-out through the string wrapper.
+  // Stage 6: coordinator dispatch.  Walks the object's subscriber index
+  // (empty for ungrouped objects — the loop body never runs).
   void notify_coordinators(TrackedObject& object,
                            const TemporalPollObservation& obs);
 

@@ -1,16 +1,14 @@
 // The coordinator-dispatch differential: id-keyed subscription-routed
-// dispatch (the default) against the legacy string-keyed broadcast fan-out
-// (EngineConfig::legacy_dispatch).
+// dispatch, run on the binary-heap and the calendar scheduler.
 //
-// The dispatch rewrite must be a pure representation change: over seeded
-// random group topologies — multiple triggered and rate-heuristic
-// coordinators, overlapping member sets, ungrouped bystander objects, loss
-// injection and a mid-run crash — both dispatch modes must produce
-// byte-identical poll logs, identical TTR series, identical triggered-poll
-// counts and identical fidelity, under both scheduler backends.  A second
-// set of pins covers the mechanism itself: the per-object subscriber
-// index, and that an engine with zero coordinators performs zero notify
-// work.
+// Over seeded random group topologies — multiple triggered and
+// rate-heuristic coordinators, overlapping member sets, ungrouped
+// bystander objects, loss injection and a mid-run crash — both backends
+// must produce byte-identical poll logs, identical TTR series, identical
+// triggered-poll and notification counts and identical fidelity.  A
+// second set of pins covers the mechanism itself: the per-object
+// subscriber index, and that an engine with zero coordinators performs
+// zero notify work.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -106,14 +104,13 @@ struct RunArtifacts {
 };
 
 RunArtifacts run_topology(const Topology& topology,
-                          SchedulerBackend backend, bool legacy_dispatch) {
+                          SchedulerBackend backend) {
   Simulator::Config sim_config;
   sim_config.scheduler = backend;
   Simulator sim(sim_config);
   OriginServer origin(sim);
 
   EngineConfig config;
-  config.legacy_dispatch = legacy_dispatch;
   config.rtt = 0.25;
   config.loss_probability = 0.05;
   config.retry_delay = 4.0;
@@ -140,7 +137,8 @@ RunArtifacts run_topology(const Topology& topology,
 
   engine.start();
   sim.run_until(kHorizon / 2);
-  engine.crash_and_recover();  // coordinator reset is part of the contract
+  engine.crash();  // coordinator reset is part of the contract
+  engine.recover();
   sim.run_until(kHorizon);
 
   RunArtifacts artifacts;
@@ -180,31 +178,23 @@ void expect_records_identical(const std::vector<PollRecord>& a,
   }
 }
 
-TEST(DispatchDifferential, RoutedMatchesLegacyOverRandomTopologies) {
+TEST(DispatchDifferential, RoutedHeapMatchesCalendarOverRandomTopologies) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
     const Topology topology = make_topology(seed);
     ASSERT_FALSE(topology.groups.empty());
-    for (const SchedulerBackend backend :
-         {SchedulerBackend::kBinaryHeap, SchedulerBackend::kCalendar}) {
-      SCOPED_TRACE("seed " + std::to_string(seed) + ", backend " +
-                   (backend == SchedulerBackend::kBinaryHeap ? "heap"
-                                                             : "calendar"));
-      const RunArtifacts routed =
-          run_topology(topology, backend, /*legacy_dispatch=*/false);
-      const RunArtifacts legacy =
-          run_topology(topology, backend, /*legacy_dispatch=*/true);
-      ASSERT_FALSE(routed.records.empty());
-      expect_records_identical(routed.records, legacy.records);
-      EXPECT_EQ(routed.ttr_series, legacy.ttr_series);
-      EXPECT_EQ(routed.triggered, legacy.triggered);
-      EXPECT_EQ(routed.individual_fidelity, legacy.individual_fidelity);
-      EXPECT_EQ(routed.mutual_fidelity, legacy.mutual_fidelity);
-      // The broadcast path dispatches at least as many notifications as
-      // the routed path (every coordinator, every temporal poll); routing
-      // skips the non-subscribers without changing any observable above.
-      EXPECT_GE(legacy.notifies, routed.notifies);
-      EXPECT_GT(routed.notifies, 0u);
-    }
+    const RunArtifacts heap =
+        run_topology(topology, SchedulerBackend::kBinaryHeap);
+    const RunArtifacts calendar =
+        run_topology(topology, SchedulerBackend::kCalendar);
+    ASSERT_FALSE(heap.records.empty());
+    expect_records_identical(heap.records, calendar.records);
+    EXPECT_EQ(heap.ttr_series, calendar.ttr_series);
+    EXPECT_EQ(heap.triggered, calendar.triggered);
+    EXPECT_EQ(heap.notifies, calendar.notifies);
+    EXPECT_EQ(heap.individual_fidelity, calendar.individual_fidelity);
+    EXPECT_EQ(heap.mutual_fidelity, calendar.mutual_fidelity);
+    EXPECT_GT(heap.notifies, 0u);
   }
 }
 

@@ -199,25 +199,26 @@ TEST(ProxyFleet, ApplyRelayRejectsStaleAndUnvalidatedResponses) {
   origin.add_object("/a");
   engine.add_temporal_object(
       "/a", std::make_unique<LimdPolicy>(limd_config(60.0, 600.0)));
+  const ObjectId a = origin.object_id("/a");
 
   // Before start: relays are dropped, not applied.
   Response fresh;
   fresh.status = StatusCode::kOk;
   set_last_modified(fresh.headers, 0.0);
-  EXPECT_FALSE(engine.apply_relay("/a", fresh, 0.0));
+  EXPECT_FALSE(engine.apply_relay(a, fresh, 0.0));
 
   engine.start();
   sim.run_until(10.0);
 
-  // Untracked uri.
-  EXPECT_FALSE(engine.apply_relay("/nope", fresh, 5.0));
+  // Unknown uri (no interned id).
+  EXPECT_FALSE(engine.apply_relay(origin.object_id("/nope"), fresh, 5.0));
 
   // Relay snapshot not newer than this proxy's own view (initial fetch at
   // t = 0): carries nothing, even though it is a 200.
-  EXPECT_FALSE(engine.apply_relay("/a", fresh, 0.0));
+  EXPECT_FALSE(engine.apply_relay(a, fresh, 0.0));
 
   // 200 relay for the version the initial fetch already saw: stale.
-  EXPECT_FALSE(engine.apply_relay("/a", fresh, 5.0));
+  EXPECT_FALSE(engine.apply_relay(a, fresh, 5.0));
   EXPECT_EQ(engine.relay_refreshes("/a"), 0u);
 
   // 304 validation naming a version this proxy has NOT seen: must be
@@ -225,12 +226,12 @@ TEST(ProxyFleet, ApplyRelayRejectsStaleAndUnvalidatedResponses) {
   Response unvalidated;
   unvalidated.status = StatusCode::kNotModified;
   set_last_modified(unvalidated.headers, 4.0);
-  EXPECT_FALSE(engine.apply_relay("/a", unvalidated, 5.0));
+  EXPECT_FALSE(engine.apply_relay(a, unvalidated, 5.0));
 
   // Errors never apply.
   Response missing;
   missing.status = StatusCode::kNotFound;
-  EXPECT_FALSE(engine.apply_relay("/a", missing, 5.0));
+  EXPECT_FALSE(engine.apply_relay(a, missing, 5.0));
   EXPECT_EQ(engine.relay_refreshes(), 0u);
 
   // A genuine validation (Last-Modified already seen, newer snapshot)
@@ -238,7 +239,7 @@ TEST(ProxyFleet, ApplyRelayRejectsStaleAndUnvalidatedResponses) {
   Response valid;
   valid.status = StatusCode::kNotModified;
   set_last_modified(valid.headers, 0.0);
-  EXPECT_TRUE(engine.apply_relay("/a", valid, 5.0));
+  EXPECT_TRUE(engine.apply_relay(a, valid, 5.0));
   EXPECT_EQ(engine.relay_refreshes("/a"), 1u);
   // The record carries the true snapshot, not the delivery instant.
   const PollRecord& record =

@@ -56,6 +56,27 @@ TEST(Extensions, MalformedHistoryRejected) {
   EXPECT_FALSE(get_modification_history(headers).has_value());
   headers.set(kHdrModificationHistory, "5.0, 3.0");  // descending
   EXPECT_FALSE(get_modification_history(headers).has_value());
+  // Non-finite entries: a NaN compares false against everything, so
+  // without an explicit check "100, nan, 50" decodes as an unordered
+  // history.
+  for (const char* raw : {"100, nan, 50", "-inf, 5", "nan", "inf",
+                          "1.0, 1e400"}) {
+    SCOPED_TRACE(raw);
+    headers.set(kHdrModificationHistory, raw);
+    EXPECT_FALSE(get_modification_history(headers).has_value());
+  }
+}
+
+TEST(Extensions, NonFinitePreciseDateAndToleranceRejected) {
+  Headers headers;
+  headers.set(kHdrLastModifiedPrecise, "nan");
+  EXPECT_FALSE(get_last_modified(headers).has_value());
+  headers.set(kHdrIfModifiedSincePrecise, "-inf");
+  EXPECT_FALSE(get_if_modified_since(headers).has_value());
+  headers.set(kHdrDeltaConsistency, "inf");
+  EXPECT_FALSE(get_delta_tolerance(headers).has_value());
+  headers.set(kHdrGroupDelta, "NAN");
+  EXPECT_FALSE(get_group_delta(headers).has_value());
 }
 
 TEST(Extensions, DeltaToleranceRoundTrip) {

@@ -168,7 +168,8 @@ TEST_P(CrashRecoverySweep, RunsToCompletionAfterCrash) {
   const TimePoint crash_at = trace.duration() * GetParam();
   sim.run_until(crash_at);
   const std::size_t polls_before = engine.polls_performed();
-  engine.crash_and_recover();
+  engine.crash();
+  engine.recover();
   sim.run_until(trace.duration());
   EXPECT_GT(engine.polls_performed(), polls_before);
   EXPECT_TRUE(engine.cache().contains(trace.name()));

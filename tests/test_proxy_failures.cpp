@@ -73,7 +73,8 @@ TEST(CrashRecovery, ResetsTtrToMin) {
   ASSERT_FALSE(series_before.empty());
   EXPECT_GT(series_before.back().second, 120.0);
 
-  engine.crash_and_recover();
+  engine.crash();
+  engine.recover();
   sim.run_until(3070.0);
   // First post-recovery poll happens within TTR_min of the crash.
   const auto times = engine.poll_completion_times("/quiet");
@@ -107,7 +108,8 @@ TEST(CrashRecovery, PendingRetriesDieWithTheProxy) {
   ASSERT_GT(engine.failed_polls(), fired_retries());  // retries in flight
 
   const std::size_t records_at_crash = engine.poll_log().size();
-  engine.crash_and_recover();
+  engine.crash();
+  engine.recover();
   sim.run_until(crash_time + config.retry_delay + 5.0);
 
   // A retry scheduled before the crash would fire within retry_delay of
@@ -133,7 +135,8 @@ TEST(CrashRecovery, CacheSurvivesCrash) {
   engine.add_temporal_object("/a", std::make_unique<FixedPollPolicy>(10.0));
   engine.start();
   sim.run_until(100.0);
-  engine.crash_and_recover();
+  engine.crash();
+  engine.recover();
   EXPECT_TRUE(engine.cache().contains("/a"));
 }
 
@@ -141,7 +144,7 @@ TEST(CrashRecovery, BeforeStartIsAnError) {
   Simulator sim;
   OriginServer origin(sim);
   PollingEngine engine(sim, origin);
-  EXPECT_THROW(engine.crash_and_recover(), CheckFailure);
+  EXPECT_THROW(engine.crash(), CheckFailure);
 }
 
 TEST(ClientWorkload, ObservesFreshAndStaleResponses) {

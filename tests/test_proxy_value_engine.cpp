@@ -172,7 +172,8 @@ TEST(ValueEngine, CrashRecoveryResetsValuePolicies) {
   ASSERT_FALSE(series.empty());
   EXPECT_GT(series.back().second, 10.0);
 
-  engine.crash_and_recover();
+  engine.crash();
+  engine.recover();
   sim.run_until(605.0);
   // First post-recovery poll within TTR_min.
   const auto times = engine.poll_completion_times(flat.name());

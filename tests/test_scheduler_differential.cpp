@@ -1,15 +1,13 @@
-// End-to-end scheduler/attachment differential tests.
+// End-to-end scheduler differential tests.
 //
-// The calendar event queue (Simulator::Config::scheduler) and batch trace
-// attachment (OriginServer::Config::batch_trace_attachment) both change
-// *how* events are stored and created, and must change nothing about
-// *what* the simulation computes.  These tests run full harness
-// simulations — a cooperative-push fleet (run_fleet_temporal plus a
-// direct ProxyFleet run for log-level access) and a value-domain run —
-// under every combination of {heap, calendar} x {batch, per-update},
-// selected the way CI selects them (the BROADWAY_SCHEDULER /
-// BROADWAY_TRACE_ATTACHMENT environment variables), and assert
-// byte-identical poll logs, TTR series, fidelity and counters.
+// The calendar event queue (Simulator::Config::scheduler) changes *how*
+// events are stored, and must change nothing about *what* the simulation
+// computes.  These tests run full harness simulations — a cooperative-push
+// fleet (run_fleet_temporal plus a direct ProxyFleet run for log-level
+// access) and a value-domain run — under the heap and the calendar
+// backend, selected the way CI selects them (the BROADWAY_SCHEDULER
+// environment variable), and assert byte-identical poll logs, TTR series,
+// fidelity and counters.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -55,21 +53,7 @@ class ScopedEnv {
   bool had_previous_ = false;
 };
 
-struct Variant {
-  const char* scheduler;
-  const char* attachment;
-};
-
-constexpr Variant kVariants[] = {
-    {"heap", "per-update"},
-    {"heap", "batch"},
-    {"calendar", "per-update"},
-    {"calendar", "batch"},
-};
-
-std::string variant_name(const Variant& variant) {
-  return std::string(variant.scheduler) + "/" + variant.attachment;
-}
+constexpr const char* kSchedulers[] = {"heap", "calendar"};
 
 UpdateTrace irregular_trace(const std::string& name, std::uint64_t seed,
                             Duration horizon) {
@@ -186,17 +170,15 @@ FleetArtifacts run_fleet_variant() {
 
 TEST(SchedulerDifferential, FleetRunsAreByteIdentical) {
   std::vector<FleetArtifacts> results;
-  for (const Variant& variant : kVariants) {
-    SCOPED_TRACE(variant_name(variant));
-    ScopedEnv scheduler("BROADWAY_SCHEDULER", variant.scheduler);
-    ScopedEnv attachment("BROADWAY_TRACE_ATTACHMENT", variant.attachment);
+  for (const char* backend : kSchedulers) {
+    SCOPED_TRACE(backend);
+    ScopedEnv scheduler("BROADWAY_SCHEDULER", backend);
     results.push_back(run_fleet_variant());
   }
   const FleetArtifacts& reference = results.front();
   ASSERT_FALSE(reference.records.empty());
   for (std::size_t v = 1; v < results.size(); ++v) {
-    SCOPED_TRACE(variant_name(kVariants[v]) + " vs " +
-                 variant_name(kVariants[0]));
+    SCOPED_TRACE(std::string(kSchedulers[v]) + " vs " + kSchedulers[0]);
     const FleetArtifacts& candidate = results[v];
     expect_records_identical(reference.records, candidate.records);
     EXPECT_EQ(reference.ttr_series, candidate.ttr_series);
@@ -261,17 +243,15 @@ ValueArtifacts run_value_variant() {
 
 TEST(SchedulerDifferential, ValueRunsAreByteIdentical) {
   std::vector<ValueArtifacts> results;
-  for (const Variant& variant : kVariants) {
-    SCOPED_TRACE(variant_name(variant));
-    ScopedEnv scheduler("BROADWAY_SCHEDULER", variant.scheduler);
-    ScopedEnv attachment("BROADWAY_TRACE_ATTACHMENT", variant.attachment);
+  for (const char* backend : kSchedulers) {
+    SCOPED_TRACE(backend);
+    ScopedEnv scheduler("BROADWAY_SCHEDULER", backend);
     results.push_back(run_value_variant());
   }
   const ValueArtifacts& reference = results.front();
   ASSERT_FALSE(reference.records.empty());
   for (std::size_t v = 1; v < results.size(); ++v) {
-    SCOPED_TRACE(variant_name(kVariants[v]) + " vs " +
-                 variant_name(kVariants[0]));
+    SCOPED_TRACE(std::string(kSchedulers[v]) + " vs " + kSchedulers[0]);
     const ValueArtifacts& candidate = results[v];
     expect_records_identical(reference.records, candidate.records);
     EXPECT_EQ(reference.harness.polls, candidate.harness.polls);
@@ -286,8 +266,7 @@ TEST(SchedulerDifferential, ValueRunsAreByteIdentical) {
   }
 }
 
-// The env knobs themselves: what CI sets must be what the constructors
-// read.
+// The env knob itself: what CI sets must be what the constructor reads.
 TEST(SchedulerDifferential, EnvironmentSelectsBackends) {
   {
     ScopedEnv scheduler("BROADWAY_SCHEDULER", "heap");
@@ -298,14 +277,6 @@ TEST(SchedulerDifferential, EnvironmentSelectsBackends) {
     ScopedEnv scheduler("BROADWAY_SCHEDULER", "calendar");
     Simulator sim;
     EXPECT_EQ(sim.scheduler(), SchedulerBackend::kCalendar);
-  }
-  {
-    ScopedEnv attachment("BROADWAY_TRACE_ATTACHMENT", "per-update");
-    EXPECT_FALSE(OriginServer::Config().batch_trace_attachment);
-  }
-  {
-    ScopedEnv attachment("BROADWAY_TRACE_ATTACHMENT", "batch");
-    EXPECT_TRUE(OriginServer::Config().batch_trace_attachment);
   }
 }
 
