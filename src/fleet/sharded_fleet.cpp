@@ -96,11 +96,10 @@ void ShardedFleet::add_delta_group(std::vector<FleetMember> members,
 
 void ShardedFleet::build_shards() {
   // ---- enumerate registered (proxy, uri) pairs ----
-  // Pairs are the atoms of both layouts: the legacy layout colocates all
-  // of a proxy's pairs, the object-partition layout moves them
-  // independently (modulo the closure below).  Pair indices follow
-  // registration-scan order, so everything derived from them is
-  // deterministic.
+  // Pairs are the atoms of placement: they move independently, modulo
+  // the colocation closure below (the whole-proxy layout is one more
+  // rule of it).  Pair indices follow registration-scan order, so
+  // everything derived from them is deterministic.
   pairs_.clear();
   std::map<std::pair<std::size_t, std::string>, std::size_t> pair_index;
   auto intern_pair = [&](std::size_t proxy, const std::string& uri) {
@@ -160,6 +159,20 @@ void ShardedFleet::build_shards() {
     const auto [slot, inserted] = sibling_first.try_emplace(key, i);
     if (!inserted) pair_components.unite(slot->second, i);
   }
+  // Rules (b2), (c), (d) and the whole-proxy layout each unite, per
+  // proxy, every pair that satisfies a predicate.
+  const auto unite_within_proxy = [&](const auto& selected) {
+    std::vector<std::size_t> first_of_proxy(proxy_count_, SIZE_MAX);
+    for (std::size_t i = 0; i < pairs_.size(); ++i) {
+      if (!selected(pairs_[i])) continue;
+      std::size_t& first = first_of_proxy[pairs_[i].proxy];
+      if (first == SIZE_MAX) {
+        first = i;
+      } else {
+        pair_components.unite(first, i);
+      }
+    }
+  };
   // (b2) Cooperative push couples every relay-receiving pair of a proxy:
   //      applying a relay reschedules the receiver's refresh timer, and
   //      one send burst delivers to several of a proxy's objects at the
@@ -173,64 +186,40 @@ void ShardedFleet::build_shards() {
   if (config_.fleet.cooperative_push) {
     std::map<std::string, std::size_t> tracker_count;
     for (const PairInfo& pair : pairs_) ++tracker_count[pair.uri];
-    std::vector<std::size_t> first_multi(proxy_count_, SIZE_MAX);
-    for (std::size_t i = 0; i < pairs_.size(); ++i) {
-      if (tracker_count.at(pairs_[i].uri) < 2) continue;
-      std::size_t& first = first_multi[pairs_[i].proxy];
-      if (first == SIZE_MAX) {
-        first = i;
-      } else {
-        pair_components.unite(first, i);
-      }
-    }
+    unite_within_proxy([&tracker_count](const PairInfo& pair) {
+      return tracker_count.at(pair.uri) >= 2;
+    });
   }
   // (c) Client request streams read a proxy's whole cache through one
   //     engine binding, so client traffic pins each proxy together.
-  if (config_.fleet.client_traffic) {
-    std::vector<std::size_t> first_of_proxy(proxy_count_, SIZE_MAX);
-    for (std::size_t i = 0; i < pairs_.size(); ++i) {
-      std::size_t& first = first_of_proxy[pairs_[i].proxy];
-      if (first == SIZE_MAX) {
-        first = i;
-      } else {
-        pair_components.unite(first, i);
-      }
-    }
-  }
   // (d) Crash/recovery is engine-wide: recovery re-arms every object of
   //     the proxy in registration order, and the re-armed timers fire in
   //     same-instant bursts (shared reset TTRs) whose reference order is
   //     only reproducible inside one slice log — a proxy with crash
   //     windows keeps all its pairs together.
-  if (config_.fleet.faults.has_crashes()) {
-    std::vector<std::size_t> first_of_proxy(proxy_count_, SIZE_MAX);
+  const FaultSchedule& faults = config_.fleet.faults;
+  const bool clients = config_.fleet.client_traffic.has_value();
+  unite_within_proxy([&faults, clients](const PairInfo& pair) {
+    return clients || faults.windows_for(pair.proxy) != nullptr;
+  });
+  // (e) Sibling failover routes a dark owner's δ-poll to the
+  //     lowest-global-id live tracker of the object, so resolving the
+  //     choice needs every tracker's engine (liveness, eligibility) on
+  //     the group's slice: all trackers of a grouped uri join the
+  //     group's component (a group member is itself a tracker, which
+  //     anchors the union to rule (a)'s component).
+  if (faults.has_crashes() && !group_registrations_.empty()) {
+    std::map<std::string, std::size_t> first_tracker;
     for (std::size_t i = 0; i < pairs_.size(); ++i) {
-      if (config_.fleet.faults.windows_for(pairs_[i].proxy) == nullptr) {
-        continue;
-      }
-      std::size_t& first = first_of_proxy[pairs_[i].proxy];
-      if (first == SIZE_MAX) {
-        first = i;
-      } else {
-        pair_components.unite(first, i);
-      }
-    }
-    // (e) Sibling failover routes a dark owner's δ-poll to the
-    //     lowest-global-id live tracker of the object, so resolving the
-    //     choice needs every tracker's engine (liveness, eligibility) on
-    //     the group's slice: all trackers of a grouped uri join the
-    //     group's component (a group member is itself a tracker, which
-    //     anchors the union to rule (a)'s component).
-    if (!group_registrations_.empty()) {
-      std::map<std::string, std::size_t> first_tracker;
-      for (std::size_t i = 0; i < pairs_.size(); ++i) {
-        if (uri_index.find(pairs_[i].uri) == uri_index.end()) continue;
-        const auto [slot, inserted] =
-            first_tracker.try_emplace(pairs_[i].uri, i);
-        if (!inserted) pair_components.unite(slot->second, i);
-      }
+      if (uri_index.find(pairs_[i].uri) == uri_index.end()) continue;
+      const auto [slot, inserted] =
+          first_tracker.try_emplace(pairs_[i].uri, i);
+      if (!inserted) pair_components.unite(slot->second, i);
     }
   }
+  // The coupling component is recorded before the whole-proxy rule:
+  // build_send_watches uses it as the export closure, which must not
+  // widen with a placement choice.
   for (std::size_t i = 0; i < pairs_.size(); ++i) {
     pairs_[i].root = pair_components.find(i);
   }
@@ -245,107 +234,72 @@ void ShardedFleet::build_shards() {
   }
 
   // ---- shard layout ----
-  std::vector<std::vector<std::size_t>> shard_members;
+  // A proxy lives wherever its pairs land, so one without pairs has no
+  // slice to host it.
+  for (std::size_t proxy = 0; proxy < proxy_count_; ++proxy) {
+    BROADWAY_CHECK_MSG(!reg_rank_[proxy].empty(),
+                       "proxy " << proxy
+                                << " has no registered objects, so no "
+                                   "slice could host it");
+  }
+  // Whole-proxy layout (shards = 0): one more colocation rule, applied to
+  // placement only, and one bin per resulting unit.
   if (config_.shards == 0) {
-    // Legacy layout: one shard per δ-closure component of whole proxies,
-    // numbered by smallest member proxy.
-    UnionFind components(proxy_count_);
-    for (const GroupRegistration& group : group_registrations_) {
-      for (std::size_t i = 1; i < group.members.size(); ++i) {
-        components.unite(group.members[0].proxy, group.members[i].proxy);
-      }
+    unite_within_proxy([](const PairInfo&) { return true; });
+  }
+  // Colocation units packed into the bins by greedy LPT on pair count —
+  // the cheap stand-in for a per-object poll-rate estimate, exact enough
+  // because every registered object polls continuously.  Deterministic:
+  // units order by (weight desc, smallest pair index asc), ties pick the
+  // lowest-numbered bin, so equal-weight units land in bins 0, 1, 2, ...
+  // Units are numbered by their smallest pair index.
+  std::vector<std::size_t> unit_of_pair(pairs_.size());
+  std::vector<std::size_t> unit_of_root(pairs_.size(), SIZE_MAX);
+  std::vector<std::size_t> unit_weight;
+  for (std::size_t i = 0; i < pairs_.size(); ++i) {
+    const std::size_t root = pair_components.find(i);
+    if (unit_of_root[root] == SIZE_MAX) {
+      unit_of_root[root] = unit_weight.size();
+      unit_weight.push_back(0);
     }
-    // Rule (e) at whole-proxy granularity: with crash windows, sibling
-    // failover must see every tracker of a grouped uri on the group's
-    // shard, member or not.
-    if (config_.fleet.faults.has_crashes() &&
-        !group_registrations_.empty()) {
-      std::map<std::string, std::size_t> first_tracker;
-      for (const PairInfo& pair : pairs_) {
-        if (uri_index.find(pair.uri) == uri_index.end()) continue;
-        const auto [slot, inserted] =
-            first_tracker.try_emplace(pair.uri, pair.proxy);
-        if (!inserted) components.unite(slot->second, pair.proxy);
-      }
+    unit_of_pair[i] = unit_of_root[root];
+    ++unit_weight[unit_of_pair[i]];
+  }
+  std::vector<std::size_t> order(unit_weight.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&unit_weight](std::size_t a, std::size_t b) {
+                     return unit_weight[a] > unit_weight[b];
+                   });
+  const std::size_t bins =
+      config_.shards == 0 ? unit_weight.size() : config_.shards;
+  std::vector<std::size_t> bin_load(bins, 0);
+  std::vector<std::size_t> bin_of_unit(unit_weight.size(), SIZE_MAX);
+  for (const std::size_t unit : order) {
+    std::size_t best = 0;
+    for (std::size_t b = 1; b < bins; ++b) {
+      if (bin_load[b] < bin_load[best]) best = b;
     }
-    std::vector<std::size_t> shard_of_proxy(proxy_count_, SIZE_MAX);
-    std::vector<std::size_t> shard_of_root(proxy_count_, SIZE_MAX);
+    bin_of_unit[unit] = best;
+    bin_load[best] += unit_weight[unit];
+  }
+  // Drop empty bins (more bins than units) and renumber ascending.
+  std::vector<std::vector<std::size_t>> shard_members;
+  std::vector<std::size_t> shard_of_bin(bins, SIZE_MAX);
+  for (std::size_t b = 0; b < bins; ++b) {
+    if (bin_load[b] == 0) continue;
+    shard_of_bin[b] = shard_members.size();
+    shard_members.emplace_back();
+  }
+  std::vector<std::vector<bool>> proxy_on_shard(
+      shard_members.size(), std::vector<bool>(proxy_count_, false));
+  for (std::size_t i = 0; i < pairs_.size(); ++i) {
+    pairs_[i].shard = shard_of_bin[bin_of_unit[unit_of_pair[i]]];
+    proxy_on_shard[pairs_[i].shard][pairs_[i].proxy] = true;
+  }
+  for (std::size_t s = 0; s < shard_members.size(); ++s) {
     for (std::size_t proxy = 0; proxy < proxy_count_; ++proxy) {
-      const std::size_t root = components.find(proxy);
-      if (shard_of_root[root] == SIZE_MAX) {
-        shard_of_root[root] = shard_members.size();
-        shard_members.emplace_back();
-      }
-      shard_of_proxy[proxy] = shard_of_root[root];
-      shard_members[shard_of_root[root]].push_back(proxy);
-    }
-    for (PairInfo& pair : pairs_) {
-      pair.shard = shard_of_proxy[pair.proxy];
-    }
-  } else {
-    // Object-partition layout: colocation units (pair components) packed
-    // into the requested bins by greedy LPT on pair count — the cheap
-    // stand-in for a per-object poll-rate estimate, exact enough because
-    // every registered object polls continuously.  Deterministic: units
-    // order by (weight desc, smallest pair index asc), ties pick the
-    // lowest-numbered bin.
-    BROADWAY_CHECK_MSG(!pairs_.empty(),
-                       "object-partition sharding needs at least one "
-                       "registered object");
-    std::vector<bool> has_pair(proxy_count_, false);
-    for (const PairInfo& pair : pairs_) has_pair[pair.proxy] = true;
-    for (std::size_t proxy = 0; proxy < proxy_count_; ++proxy) {
-      BROADWAY_CHECK_MSG(has_pair[proxy],
-                         "object-partition sharding: proxy "
-                             << proxy
-                             << " has no registered objects, so no slice "
-                                "could host it");
-    }
-    // Units in ascending-root order (a root is its component's smallest
-    // pair index — see UnionFind::unite).
-    std::vector<std::size_t> unit_of_root(pairs_.size(), SIZE_MAX);
-    std::vector<std::size_t> unit_weight;
-    for (const PairInfo& pair : pairs_) {
-      if (unit_of_root[pair.root] == SIZE_MAX) {
-        unit_of_root[pair.root] = unit_weight.size();
-        unit_weight.push_back(0);
-      }
-      ++unit_weight[unit_of_root[pair.root]];
-    }
-    std::vector<std::size_t> order(unit_weight.size());
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    std::stable_sort(order.begin(), order.end(),
-                     [&unit_weight](std::size_t a, std::size_t b) {
-                       return unit_weight[a] > unit_weight[b];
-                     });
-    const std::size_t bins = config_.shards;
-    std::vector<std::size_t> bin_load(bins, 0);
-    std::vector<std::size_t> bin_of_unit(unit_weight.size(), SIZE_MAX);
-    for (const std::size_t unit : order) {
-      std::size_t best = 0;
-      for (std::size_t b = 1; b < bins; ++b) {
-        if (bin_load[b] < bin_load[best]) best = b;
-      }
-      bin_of_unit[unit] = best;
-      bin_load[best] += unit_weight[unit];
-    }
-    // Drop empty bins (more bins than units) and renumber ascending.
-    std::vector<std::size_t> shard_of_bin(bins, SIZE_MAX);
-    for (std::size_t b = 0; b < bins; ++b) {
-      if (bin_load[b] == 0) continue;
-      shard_of_bin[b] = shard_members.size();
-      shard_members.emplace_back();
-    }
-    std::vector<std::vector<bool>> proxy_on_shard(
-        shard_members.size(), std::vector<bool>(proxy_count_, false));
-    for (PairInfo& pair : pairs_) {
-      pair.shard = shard_of_bin[bin_of_unit[unit_of_root[pair.root]]];
-      proxy_on_shard[pair.shard][pair.proxy] = true;
-    }
-    for (std::size_t s = 0; s < shard_members.size(); ++s) {
-      for (std::size_t proxy = 0; proxy < proxy_count_; ++proxy) {
-        if (proxy_on_shard[s][proxy]) shard_members[s].push_back(proxy);
-      }
+      if (proxy_on_shard[s][proxy]) shard_members[s].push_back(proxy);
     }
   }
 
@@ -794,30 +748,31 @@ void ShardedFleet::run_until(TimePoint horizon) {
     }
   };
   if (!windowed) {
-    // Shards are fully independent: one window to the horizon.
+    // Shards are fully independent: one window to the horizon (the loop
+    // below then has nothing left to do).
     fill_costs();
     pool_->run_batch(
         shards_.size(),
         [this, horizon](std::size_t s) { shards_[s].sim->run_until(horizon); },
         window_costs_);
     now_ = horizon;
-    return;
   }
   // Conservative lookahead: a relay sent in window k delivers strictly
   // after the window's edge, so every message deliverable in window k+1
   // is already in its destination inbox when the window starts.
   const Duration latency = config_.fleet.relay_latency;
-  const bool adaptive = config_.window_policy == WindowPolicy::kAdaptive;
   while (now_ < horizon) {
     TimePoint edge = std::min(horizon, now_ + latency);
-    if (adaptive && edge < horizon) {
+    if (edge < horizon) {
       // Jump the edge to min(horizon, max(now + L, bound)), where bound
       // is the earliest instant any shard can next produce a
-      // cross-shard-visible send.  Safety: every send in the window
-      // happens at or after bound (bound > now strictly — all its
-      // sources are future instants), so every delivery lands at or
-      // after bound + L > edge, strictly outside the window — no
-      // delivery instant's local events are ever consumed early.  Note
+      // cross-shard-visible send.  Idle stretches collapse into one
+      // window; dense ones floor at one relay_latency step.  Safety:
+      // every send in the window happens at or after bound (bound > now
+      // strictly — all its sources are future instants), so every
+      // delivery lands at or after bound + L > edge, strictly outside
+      // the window — no delivery instant's local events are ever
+      // consumed early.  Note
       // the edge stops *at* bound, not bound + L: Simulator::run_until
       // is inclusive, so closing the window at bound + L would consume
       // local events at the very instant a message sent at bound
@@ -838,6 +793,13 @@ void ShardedFleet::run_until(TimePoint horizon) {
     exchange_mailboxes();
     now_ = edge;
   }
+  BROADWAY_CHECK_MSG(
+      relays_sent() ==
+          relays_delivered() + relays_in_flight() + relays_lost(),
+      "relay ledger out of balance at t=" << now_ << ": sent "
+          << relays_sent() << " != delivered " << relays_delivered()
+          << " + in flight " << relays_in_flight() << " + lost "
+          << relays_lost());
 }
 
 // ---- topology accessors ----------------------------------------------------

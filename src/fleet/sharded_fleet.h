@@ -11,10 +11,10 @@
 // without ever seeing a message from its past.  Execution proceeds in
 // windows: run every shard to the window edge in parallel, barrier,
 // exchange the cross-shard relays through per-pair mailboxes, repeat.
-// With WindowPolicy::kFixed the edge advances by relay_latency each
-// time; with kAdaptive (the default) it jumps to the earliest instant
-// any shard can next produce a cross-shard-visible send, collapsing
-// idle stretches into one barrier (see run_until).
+// Each edge is min(horizon, max(now + L, bound)), where bound is the
+// earliest instant any shard can next produce a cross-shard-visible
+// send: dense windows advance by one relay_latency step, idle stretches
+// collapse into one barrier (see run_until).
 //
 // Determinism is the acceptance bar, not a best effort: a sharded run
 // must produce byte-identical per-proxy poll logs, TTR series and
@@ -43,14 +43,14 @@
 //
 // δ-groups couple their member proxies synchronously (a member's poll
 // can trigger immediate early polls on sibling members), so grouped
-// members must share a timeline.  The legacy layout (shards = 0) takes
-// the union-find closure over whole proxies — one shard per component.
-// Object-partition sharding (shards > 0) closes over (proxy, object)
-// *pairs* instead: a proxy's ungrouped objects may split across shards
-// as independent engine slices, so shard count can exceed proxy count
-// and a hot proxy no longer serializes a run.  Either way the layout
-// depends only on the topology and the `shards` knob — never on the
-// thread count — so merged output is thread-schedule independent by
+// members must share a timeline.  Placement closes over (proxy, object)
+// *pairs*: a proxy's ungrouped objects may split across shards as
+// independent engine slices, so shard count can exceed proxy count and
+// a hot proxy no longer serializes a run.  The whole-proxy layout
+// (shards = 0, the default) is one more colocation rule of that closure
+// — every pair of a proxy together — with one shard per unit.  The
+// layout depends only on the topology and the `shards` knob — never on
+// the thread count — so merged output is thread-schedule independent by
 // construction.
 //
 // Accounting merges deterministically at sweep end: FleetOriginLoad
@@ -79,21 +79,6 @@
 #include "util/thread_pool.h"
 
 namespace broadway {
-
-/// How the sharded driver chooses each lookahead-window edge.
-enum class WindowPolicy {
-  /// Fixed steps of relay_latency — one barrier + exchange per step,
-  /// whatever the traffic.
-  kFixed,
-  /// Jump each window edge to the earliest instant any shard can next
-  /// produce a cross-shard-visible send (clamped below by one full
-  /// latency step): edge = min(horizon, max(now + L, min_shards(bound))).
-  /// Idle stretches collapse into one window; a window never closes at
-  /// or past bound + L, so no delivery can land on an instant whose
-  /// local events were already consumed.  Byte-identical output to
-  /// kFixed by construction.
-  kAdaptive,
-};
 
 /// Sharded-fleet configuration.
 struct ShardedFleetConfig {
@@ -124,19 +109,16 @@ struct ShardedFleetConfig {
   /// Simulator default (the BROADWAY_SCHEDULER environment knob).
   std::optional<SchedulerBackend> scheduler;
 
-  /// Window-edge policy (see WindowPolicy).  Never changes merged
-  /// output; kAdaptive only reduces barrier/exchange iterations.
-  WindowPolicy window_policy = WindowPolicy::kAdaptive;
-
-  /// Requested shard count for object-partition sharding.  0 (default)
-  /// keeps the legacy layout: one shard per δ-closure of whole proxies.
-  /// > 0 partitions at (proxy, object) granularity: colocation units are
-  /// the δ-group closures over *pairs* (a group's members, every proxy's
+  /// Requested shard count.  Colocation units are the δ-group closures
+  /// over (proxy, object) *pairs* (a group's members, every proxy's
   /// pairs of group-sibling objects, and — with client traffic — each
-  /// proxy's whole working set), packed into at most this many shards by
-  /// greedy LPT on pair count.  A proxy whose pairs land on several
-  /// shards runs one engine *slice* per shard; merged output is
-  /// byte-identical to the whole-proxy layout at any shard count.
+  /// proxy's whole working set), packed by greedy LPT on pair count.
+  /// > 0 packs them into at most this many shards; a proxy whose pairs
+  /// land on several shards runs one engine *slice* per shard.  0
+  /// (default) adds one rule — every pair of a proxy colocates — and
+  /// gives each resulting unit its own shard: one shard per δ-closure of
+  /// whole proxies.  Every proxy needs at least one registered object.
+  /// Merged output is byte-identical at any value.
   std::size_t shards = 0;
 };
 
@@ -178,9 +160,10 @@ class ShardedFleet {
   void start();
 
   /// Advance the whole fleet to `horizon`, running shards in parallel
-  /// windows of relay_latency.  Callable repeatedly with increasing
-  /// horizons; cross-shard relays still in flight at one call's horizon
-  /// deliver during the next.
+  /// lookahead windows (see the file comment).  Callable repeatedly
+  /// with increasing horizons; cross-shard relays still in flight at one
+  /// call's horizon deliver during the next.  Ends by checking the relay
+  /// ledger (see relays_in_flight()).
   void run_until(TimePoint horizon);
 
   // ---- topology ----
@@ -377,7 +360,7 @@ class ShardedFleet {
   struct PairInfo {
     std::size_t proxy = 0;
     std::string uri;
-    std::size_t root = 0;   // colocation-component representative
+    std::size_t root = 0;   // coupling-component representative
     std::size_t shard = 0;  // hosting shard
   };
   std::vector<PairInfo> pairs_;

@@ -402,7 +402,6 @@ ClientFleetRunResult run_fleet_client_temporal(
     sharded.fleet = fleet_config;
     sharded.threads = config.threads;
     sharded.shards = config.shards;
-    sharded.window_policy = config.window_policy;
     sharded.scheduler = config.fleet.base.scheduler;
     sharded.origin = make_origin_config(config.fleet.base.origin_history);
     sharded.origin_setup = [&traces](OriginServer& origin) {

@@ -256,15 +256,12 @@ struct ClientFleetRunConfig {
   /// Worker threads: 1 = single-simulator ProxyFleet; > 1 = ShardedFleet
   /// with this many workers.  Results are byte-identical either way.
   std::size_t threads = 1;
-  /// Sharded-driver shard count (ignored at threads <= 1): 0 = one shard
-  /// per δ-closure of whole proxies; > 0 = an object-partitioned,
-  /// LPT-balanced layout with exactly this many shards (may exceed the
-  /// proxy count).  Never changes results.
+  /// Sharded-driver shard count (ignored at threads <= 1), passed to
+  /// ShardedFleetConfig::shards: 0 = one shard per δ-closure of whole
+  /// proxies; > 0 = an object-partitioned, LPT-balanced layout with at
+  /// most this many shards (may exceed the proxy count).  Never changes
+  /// results.
   std::size_t shards = 0;
-  /// Sharded-driver window-edge policy (ignored at threads <= 1).  Fixed
-  /// and adaptive windows produce byte-identical results; adaptive just
-  /// runs fewer barriers on sparse-relay topologies.
-  WindowPolicy window_policy = WindowPolicy::kAdaptive;
 };
 
 struct ClientFleetRunResult {

@@ -119,8 +119,10 @@ void set_object_value(Headers& headers, double value) {
 std::optional<double> get_object_value(const Headers& headers) {
   const auto raw = headers.get(kHdrObjectValue);
   if (!raw) return std::nullopt;
+  // Same rule as the decimal-seconds readers: a NaN or infinite value
+  // has no distance to any other, so it is malformed here.
   double v;
-  if (!parse_double(*raw, v)) return std::nullopt;
+  if (!parse_double(*raw, v) || !std::isfinite(v)) return std::nullopt;
   return v;
 }
 

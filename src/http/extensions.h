@@ -80,7 +80,8 @@ void set_group(Headers& headers, std::string_view group_id,
 std::optional<std::string_view> get_group_id(const Headers& headers);
 std::optional<Duration> get_group_delta(const Headers& headers);
 
-/// Value-domain object value on a response.
+/// Value-domain object value on a response.  The reader treats a
+/// non-finite value (nan, inf) as malformed.
 void set_object_value(Headers& headers, double value);
 std::optional<double> get_object_value(const Headers& headers);
 

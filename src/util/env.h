@@ -1,8 +1,8 @@
 // Environment-variable knobs.
 //
-// A few build-agnostic switches (scheduler backend, trace-attachment
-// mode) are selected per run through environment variables so the CI
-// matrix and the differential tests can flip them without rebuilding.
+// Build-agnostic switches (today the scheduler backend) are selected
+// per run through environment variables so the CI matrix and the
+// differential tests can flip them without rebuilding.
 // This is the one parser they share: read fresh on every call (the
 // consumers are cold construction paths, and tests flip values
 // mid-process), match against an enumerated choice list, warn and fall

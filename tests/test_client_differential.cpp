@@ -228,14 +228,12 @@ Artifacts reference_run(const Topology& topo, Duration horizon,
 
 Artifacts sharded_run(const Topology& topo, std::size_t threads,
                       Duration horizon, std::size_t shards = 0,
-                      WindowPolicy policy = WindowPolicy::kAdaptive,
                       bool demand_fill = false,
                       const FaultSchedule& faults = {}) {
   ShardedFleetConfig config;
   config.fleet = fleet_config(topo.proxies, demand_fill, faults);
   config.threads = threads;
   config.shards = shards;
-  config.window_policy = policy;
   config.origin_setup = [traces = topo.traces](OriginServer& origin) {
     for (const UpdateTrace& trace : traces) {
       origin.attach_update_trace(trace.name(), trace);
@@ -370,9 +368,9 @@ TEST(ClientDifferential, ByteIdenticalAcrossThreadCountsAndSchedulers) {
 
 // Client streams read the whole cache of their proxy, so a partitioned
 // layout pins each proxy's pairs to one slice (the layout may still pack
-// several proxies per shard); the window policy stays a free knob.  Both
-// must leave every client-side observation byte-identical.
-TEST(ClientDifferential, WindowPolicyAndPartitionSweepIsByteIdentical) {
+// several proxies per shard).  It must leave every client-side
+// observation byte-identical.
+TEST(ClientDifferential, PartitionSweepIsByteIdentical) {
   for (const char* scheduler : {"heap", "calendar"}) {
     ScopedEnv env("BROADWAY_SCHEDULER", scheduler);
     const std::uint64_t seed = 29u;
@@ -381,29 +379,22 @@ TEST(ClientDifferential, WindowPolicyAndPartitionSweepIsByteIdentical) {
     const Topology topo = random_topology(seed);
     const Artifacts reference = reference_run(topo, kHorizon);
     ASSERT_GT(reference.merged.requests, 0u);
-    for (const WindowPolicy policy :
-         {WindowPolicy::kFixed, WindowPolicy::kAdaptive}) {
-      for (const std::size_t threads : kThreadCounts) {
-        SCOPED_TRACE(
-            std::string(policy == WindowPolicy::kFixed ? "fixed"
-                                                       : "adaptive") +
-            " windows, " + std::to_string(threads) + " threads");
-        expect_artifacts_identical(
-            reference,
-            sharded_run(topo, threads, kHorizon, topo.proxies + 3, policy));
-      }
+    for (const std::size_t threads : kThreadCounts) {
+      SCOPED_TRACE("threads " + std::to_string(threads));
+      expect_artifacts_identical(
+          reference, sharded_run(topo, threads, kHorizon, topo.proxies + 3));
     }
   }
 }
 
-// The tentpole differential: with demand fills and session locality on,
-// every client-side and origin-side artifact — including the kClientMiss
-// poll stream and its relay fan-out — stays byte-identical across thread
-// counts, partitioned shard layouts (shards > proxies) and both window
-// policies, and the origin-load invariant holds in every configuration.
-// The adaptive window's client-candidate fold (ShardedFleet folds
-// next_client_fire into shard_send_bound when fills are on) is exactly
-// the code under test here.
+// The demand-fill differential: with demand fills and session locality
+// on, every client-side and origin-side artifact — including the
+// kClientMiss poll stream and its relay fan-out — stays byte-identical
+// across thread counts and whole-proxy and partitioned shard layouts
+// (shards > proxies), and the origin-load invariant holds in every
+// configuration.  The window edge's client-candidate fold (ShardedFleet
+// folds next_client_fire into shard_send_bound when fills are on) is
+// exactly the code under test here.
 TEST(ClientDifferential, DemandFillSweepIsByteIdenticalWithInvariant) {
   for (const char* scheduler : {"heap", "calendar"}) {
     ScopedEnv env("BROADWAY_SCHEDULER", scheduler);
@@ -445,21 +436,17 @@ TEST(ClientDifferential, DemandFillSweepIsByteIdenticalWithInvariant) {
 
       for (const std::size_t threads : kThreadCounts) {
         SCOPED_TRACE("threads " + std::to_string(threads));
-        const Artifacts whole =
-            sharded_run(topo, threads, kHorizon, /*shards=*/0,
-                        WindowPolicy::kAdaptive, /*demand_fill=*/true);
+        const Artifacts whole = sharded_run(topo, threads, kHorizon,
+                                            /*shards=*/0,
+                                            /*demand_fill=*/true);
         expect_artifacts_identical(reference, whole);
         expect_origin_invariant(whole);
-        for (const WindowPolicy policy :
-             {WindowPolicy::kFixed, WindowPolicy::kAdaptive}) {
-          SCOPED_TRACE(policy == WindowPolicy::kFixed ? "fixed windows"
-                                                      : "adaptive windows");
-          const Artifacts partitioned =
-              sharded_run(topo, threads, kHorizon, topo.proxies + 3, policy,
-                          /*demand_fill=*/true);
-          expect_artifacts_identical(reference, partitioned);
-          expect_origin_invariant(partitioned);
-        }
+        SCOPED_TRACE("partitioned layout");
+        const Artifacts partitioned =
+            sharded_run(topo, threads, kHorizon, topo.proxies + 3,
+                        /*demand_fill=*/true);
+        expect_artifacts_identical(reference, partitioned);
+        expect_origin_invariant(partitioned);
       }
     }
   }
@@ -469,8 +456,8 @@ TEST(ClientDifferential, DemandFillSweepIsByteIdenticalWithInvariant) {
 // two proxies, relay loss, jitter and capped-backoff retries layered on
 // the demand-fill workload, every client-side artifact — including the
 // dark-read degradation counters and the per-record dark flags — and the
-// relay fault ledger must stay byte-identical across thread counts,
-// whole-proxy and partitioned layouts and both window policies.  Client
+// relay fault ledger must stay byte-identical across thread counts and
+// whole-proxy and partitioned layouts.  Client
 // traffic keeps each proxy whole, so per-proxy metrics stay comparable
 // even under the partitioned request.
 TEST(ClientDifferential, FaultInjectionSweepIsByteIdentical) {
@@ -513,16 +500,11 @@ TEST(ClientDifferential, FaultInjectionSweepIsByteIdentical) {
       SCOPED_TRACE("threads " + std::to_string(threads));
       expect_artifacts_identical(
           reference, sharded_run(topo, threads, kHorizon, /*shards=*/0,
-                                 WindowPolicy::kAdaptive,
                                  /*demand_fill=*/true, faults));
-      for (const WindowPolicy policy :
-           {WindowPolicy::kFixed, WindowPolicy::kAdaptive}) {
-        SCOPED_TRACE(policy == WindowPolicy::kFixed ? "fixed windows"
-                                                    : "adaptive windows");
-        expect_artifacts_identical(
-            reference, sharded_run(topo, threads, kHorizon, topo.proxies + 3,
-                                   policy, /*demand_fill=*/true, faults));
-      }
+      SCOPED_TRACE("partitioned layout");
+      expect_artifacts_identical(
+          reference, sharded_run(topo, threads, kHorizon, topo.proxies + 3,
+                                 /*demand_fill=*/true, faults));
     }
   }
 }

@@ -108,9 +108,12 @@ TEST(Extensions, ObjectValueFullPrecision) {
 }
 
 TEST(Extensions, ObjectValueMalformed) {
-  Headers headers;
-  headers.set(kHdrObjectValue, "not-a-price");
-  EXPECT_FALSE(get_object_value(headers).has_value());
+  for (const char* raw : {"not-a-price", "nan", "inf", "-inf"}) {
+    SCOPED_TRACE(raw);
+    Headers headers;
+    headers.set(kHdrObjectValue, raw);
+    EXPECT_FALSE(get_object_value(headers).has_value());
+  }
 }
 
 }  // namespace

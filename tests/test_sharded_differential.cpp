@@ -252,15 +252,14 @@ Artifacts reference_run(const Topology& topo, Duration horizon,
   return artifacts;
 }
 
-ShardedFleetConfig sharded_config(
-    const Topology& topo, std::size_t threads, std::size_t shards = 0,
-    WindowPolicy policy = WindowPolicy::kAdaptive, bool clients = false,
-    const FaultSchedule& faults = {}) {
+ShardedFleetConfig sharded_config(const Topology& topo, std::size_t threads,
+                                  std::size_t shards = 0,
+                                  bool clients = false,
+                                  const FaultSchedule& faults = {}) {
   ShardedFleetConfig config;
   config.fleet = fleet_config(topo.proxies, clients, faults);
   config.threads = threads;
   config.shards = shards;
-  config.window_policy = policy;
   config.origin_setup = [traces = topo.traces](OriginServer& origin) {
     for (const UpdateTrace& trace : traces) {
       origin.attach_update_trace(trace.name(), trace);
@@ -269,12 +268,13 @@ ShardedFleetConfig sharded_config(
   return config;
 }
 
-std::unique_ptr<ShardedFleet> make_sharded(
-    const Topology& topo, std::size_t threads, std::size_t shards = 0,
-    WindowPolicy policy = WindowPolicy::kAdaptive, bool clients = false,
-    const FaultSchedule& faults = {}) {
+std::unique_ptr<ShardedFleet> make_sharded(const Topology& topo,
+                                           std::size_t threads,
+                                           std::size_t shards = 0,
+                                           bool clients = false,
+                                           const FaultSchedule& faults = {}) {
   auto fleet = std::make_unique<ShardedFleet>(
-      sharded_config(topo, threads, shards, policy, clients, faults));
+      sharded_config(topo, threads, shards, clients, faults));
   const auto factory = limd_factory();
   for (const auto& [proxy, uri] : topo.tracked) {
     fleet->add_temporal_object(proxy, uri, factory);
@@ -420,12 +420,12 @@ TEST(ShardedDifferential, MergeOrderIsThreadScheduleIndependent) {
   }
 }
 
-// δ-group members must land on one shard (their coordination is
-// synchronous); ungrouped proxies shard freely.
-TEST(ShardedDifferential, DeltaGroupsAreColocated) {
+/// Every proxy tracks every object, registered proxy by proxy; no
+/// δ-groups.
+Topology full_mesh_topology(std::size_t proxies, std::size_t objects) {
   Topology topo;
-  topo.proxies = 5;
-  for (std::size_t o = 0; o < 3; ++o) {
+  topo.proxies = proxies;
+  for (std::size_t o = 0; o < objects; ++o) {
     topo.traces.push_back(irregular_trace("/object/" + std::to_string(o),
                                           900 + o, kHorizon));
   }
@@ -434,6 +434,35 @@ TEST(ShardedDifferential, DeltaGroupsAreColocated) {
       topo.tracked.push_back({p, trace.name()});
     }
   }
+  return topo;
+}
+
+// The default layout on the fleet-wide relay shape (ungrouped, every
+// proxy tracking every object): the equal-weight whole-proxy units land
+// one per shard, in proxy order.
+TEST(ShardedDifferential, DefaultLayoutGivesEachUngroupedProxyItsShard) {
+  const Topology topo = full_mesh_topology(8, 4);
+  auto fleet = make_sharded(topo, 2);
+  fleet->start();
+  EXPECT_EQ(fleet->shard_count(), topo.proxies);
+  for (std::size_t p = 0; p < topo.proxies; ++p) {
+    EXPECT_EQ(fleet->shard_of(p), p);
+  }
+}
+
+// A proxy lives where its registered objects land; one without any has
+// no slice to host it, so start() rejects the fleet.
+TEST(ShardedDifferential, ProxyWithoutObjectsFailsStart) {
+  Topology topo = random_topology(11);
+  ++topo.proxies;  // the extra proxy registers nothing
+  auto fleet = make_sharded(topo, 2);
+  EXPECT_THROW(fleet->start(), CheckFailure);
+}
+
+// δ-group members must land on one shard (their coordination is
+// synchronous); ungrouped proxies shard freely.
+TEST(ShardedDifferential, DeltaGroupsAreColocated) {
+  Topology topo = full_mesh_topology(5, 3);
   // One group spanning proxies 1 and 3; proxies 0, 2, 4 stay free.
   topo.groups.push_back(
       {{{1, topo.traces[0].name()}, {3, topo.traces[0].name()}}, 500.0});
@@ -465,16 +494,15 @@ TEST(ShardedDifferential, DeltaGroupsAreColocated) {
   EXPECT_EQ(reference.ttr_series, candidate.ttr_series);
 }
 
-// ---- window policies × object-partitioned shard maps -----------------------
+// ---- whole-proxy × object-partitioned shard maps ----------------------------
 
-// The window-edge policy and the shard map are pure performance knobs:
-// fixed and adaptive edges, legacy whole-proxy maps (shards = 0) and
-// object-partitioned maps with more shards than the fleet has proxies
-// must all reproduce the reference run exactly, at every thread count,
-// under both schedulers.  A split proxy has no single per-proxy log (its
-// slices are merged on demand), so the comparison pins the merged
-// stream, every unsplit proxy's log, and the fleet counters.
-TEST(ShardedDifferential, WindowPolicyAndPartitionSweepIsByteIdentical) {
+// The shard map is a pure performance knob: whole-proxy maps (shards =
+// 0) and object-partitioned maps with more shards than the fleet has
+// proxies must both reproduce the reference run exactly, at every thread
+// count, under both schedulers.  A split proxy has no single per-proxy
+// log (its slices are merged on demand), so the comparison pins the
+// merged stream, every unsplit proxy's log, and the fleet counters.
+TEST(ShardedDifferential, PartitionSweepIsByteIdentical) {
   for (const char* scheduler : {"heap", "calendar"}) {
     ScopedEnv env("BROADWAY_SCHEDULER", scheduler);
     for (const std::uint64_t seed : {7u, 39u}) {
@@ -484,49 +512,43 @@ TEST(ShardedDifferential, WindowPolicyAndPartitionSweepIsByteIdentical) {
       const Artifacts reference = reference_run(topo, kHorizon);
       ASSERT_FALSE(reference.merged.empty());
       EXPECT_GT(reference.relays_delivered, 0u);
-      for (const WindowPolicy policy :
-           {WindowPolicy::kFixed, WindowPolicy::kAdaptive}) {
-        for (const std::size_t shards : {std::size_t{0}, topo.proxies + 3}) {
-          for (const std::size_t threads : kThreadCounts) {
-            SCOPED_TRACE(
-                std::string(policy == WindowPolicy::kFixed ? "fixed"
-                                                           : "adaptive") +
-                " windows, " + std::to_string(shards) + " shards, " +
-                std::to_string(threads) + " threads");
-            auto fleet = make_sharded(topo, threads, shards, policy);
-            fleet->start();
-            if (shards > 0) {
-              // A requested count above the proxy count must actually be
-              // honoured: more shards than proxies, at least one proxy
-              // split across shards.
-              EXPECT_GT(fleet->shard_count(), topo.proxies);
-              bool any_split = false;
-              for (std::size_t p = 0; p < topo.proxies; ++p) {
-                if (fleet->slice_count(p) > 1) any_split = true;
-              }
-              EXPECT_TRUE(any_split);
-            }
-            fleet->run_until(kHorizon);
-            expect_records_identical(reference.merged,
-                                     fleet->merged_poll_records());
+      for (const std::size_t shards : {std::size_t{0}, topo.proxies + 3}) {
+        for (const std::size_t threads : kThreadCounts) {
+          SCOPED_TRACE(std::to_string(shards) + " shards, " +
+                       std::to_string(threads) + " threads");
+          auto fleet = make_sharded(topo, threads, shards);
+          fleet->start();
+          if (shards > 0) {
+            // A requested count above the proxy count must actually be
+            // honoured: more shards than proxies, at least one proxy
+            // split across shards.
+            EXPECT_GT(fleet->shard_count(), topo.proxies);
+            bool any_split = false;
             for (std::size_t p = 0; p < topo.proxies; ++p) {
-              if (fleet->slice_count(p) != 1) continue;
-              SCOPED_TRACE("proxy " + std::to_string(p));
-              expect_records_identical(reference.records_by_proxy[p],
-                                       fleet->proxy(p).poll_log().records());
+              if (fleet->slice_count(p) > 1) any_split = true;
             }
-            EXPECT_EQ(reference.origin_requests, fleet->origin_requests());
-            EXPECT_EQ(reference.origin_polls, fleet->origin_polls());
-            EXPECT_EQ(reference.relays_sent, fleet->relays_sent());
-            EXPECT_EQ(reference.relays_delivered, fleet->relays_delivered());
-            EXPECT_EQ(reference.relays_applied, fleet->relays_applied());
-            EXPECT_EQ(reference.relays_in_flight, fleet->relays_in_flight());
-            const FleetOriginLoad load = fleet->origin_load();
-            EXPECT_EQ(reference.load.origin_messages, load.origin_messages);
-            EXPECT_EQ(reference.load.origin_polls, load.origin_polls);
-            EXPECT_EQ(reference.load.relay_refreshes, load.relay_refreshes);
-            EXPECT_EQ(reference.load.failed, load.failed);
+            EXPECT_TRUE(any_split);
           }
+          fleet->run_until(kHorizon);
+          expect_records_identical(reference.merged,
+                                   fleet->merged_poll_records());
+          for (std::size_t p = 0; p < topo.proxies; ++p) {
+            if (fleet->slice_count(p) != 1) continue;
+            SCOPED_TRACE("proxy " + std::to_string(p));
+            expect_records_identical(reference.records_by_proxy[p],
+                                     fleet->proxy(p).poll_log().records());
+          }
+          EXPECT_EQ(reference.origin_requests, fleet->origin_requests());
+          EXPECT_EQ(reference.origin_polls, fleet->origin_polls());
+          EXPECT_EQ(reference.relays_sent, fleet->relays_sent());
+          EXPECT_EQ(reference.relays_delivered, fleet->relays_delivered());
+          EXPECT_EQ(reference.relays_applied, fleet->relays_applied());
+          EXPECT_EQ(reference.relays_in_flight, fleet->relays_in_flight());
+          const FleetOriginLoad load = fleet->origin_load();
+          EXPECT_EQ(reference.load.origin_messages, load.origin_messages);
+          EXPECT_EQ(reference.load.origin_polls, load.origin_polls);
+          EXPECT_EQ(reference.load.relay_refreshes, load.relay_refreshes);
+          EXPECT_EQ(reference.load.failed, load.failed);
         }
       }
     }
@@ -538,12 +560,12 @@ TEST(ShardedDifferential, WindowPolicyAndPartitionSweepIsByteIdentical) {
 // active at once, every artifact — per-proxy poll logs, TTR series, the
 // merged record stream, origin load, and the full fault ledger — must
 // reproduce byte-identically across thread counts, whole-proxy and
-// partitioned shard layouts, both window policies and both scheduler
-// backends.  The fixed-vs-adaptive axis doubles as the fault-heavy
-// window differential: the adaptive edge folds export-retry fire times,
-// pending local relay retries and crash/recovery transitions, and a
-// missing fold would surface here as a sub-bound send (fail-fast) or a
-// diverging log.
+// partitioned shard layouts and both scheduler backends.  The sweep is
+// also the fault-heavy window test: the window edge folds export-retry
+// fire times, pending local relay retries and crash/recovery
+// transitions into its send bound, and a missing fold would surface
+// here as a delivery into an already-run instant (advance_clock fails
+// fast) or a log that diverges from the reference.
 TEST(ShardedDifferential, FaultInjectionSweepIsByteIdentical) {
   const FaultSchedule faults = heavy_faults();
   for (const char* scheduler : {"heap", "calendar"}) {
@@ -563,49 +585,43 @@ TEST(ShardedDifferential, FaultInjectionSweepIsByteIdentical) {
     EXPECT_EQ(reference.relays_sent,
               reference.relays_delivered + reference.relays_in_flight +
                   reference.relays_lost);
-    for (const WindowPolicy policy :
-         {WindowPolicy::kFixed, WindowPolicy::kAdaptive}) {
-      for (const std::size_t shards : {std::size_t{0}, topo.proxies + 3}) {
-        for (const std::size_t threads : kThreadCounts) {
-          SCOPED_TRACE(
-              std::string(policy == WindowPolicy::kFixed ? "fixed"
-                                                         : "adaptive") +
-              " windows, " + std::to_string(shards) + " shards, " +
-              std::to_string(threads) + " threads");
-          auto fleet = make_sharded(topo, threads, shards, policy,
-                                    /*clients=*/false, faults);
-          fleet->start();
-          fleet->run_until(kHorizon);
-          // A split proxy has no per-proxy log (fail-fast accessors), so
-          // the per-proxy comparison covers unsplit proxies and the
-          // merged stream pins the rest.
-          expect_records_identical(reference.merged,
-                                   fleet->merged_poll_records());
-          for (std::size_t p = 0; p < topo.proxies; ++p) {
-            if (fleet->slice_count(p) != 1) continue;
-            SCOPED_TRACE("proxy " + std::to_string(p));
-            expect_records_identical(reference.records_by_proxy[p],
-                                     fleet->proxy(p).poll_log().records());
-          }
-          EXPECT_EQ(reference.origin_requests, fleet->origin_requests());
-          EXPECT_EQ(reference.origin_polls, fleet->origin_polls());
-          EXPECT_EQ(reference.relays_sent, fleet->relays_sent());
-          EXPECT_EQ(reference.relays_delivered, fleet->relays_delivered());
-          EXPECT_EQ(reference.relays_applied, fleet->relays_applied());
-          EXPECT_EQ(reference.relays_in_flight, fleet->relays_in_flight());
-          EXPECT_EQ(reference.relays_lost, fleet->relays_lost());
-          EXPECT_EQ(reference.relays_retried, fleet->relays_retried());
-          EXPECT_EQ(reference.relays_dropped_dark,
-                    fleet->relays_dropped_dark());
-          const FleetOriginLoad load = fleet->origin_load();
-          EXPECT_EQ(reference.load.origin_messages, load.origin_messages);
-          EXPECT_EQ(reference.load.origin_polls, load.origin_polls);
-          EXPECT_EQ(reference.load.relay_refreshes, load.relay_refreshes);
-          EXPECT_EQ(reference.load.failed, load.failed);
-          EXPECT_EQ(fleet->relays_sent(),
-                    fleet->relays_delivered() + fleet->relays_in_flight() +
-                        fleet->relays_lost());
+    for (const std::size_t shards : {std::size_t{0}, topo.proxies + 3}) {
+      for (const std::size_t threads : kThreadCounts) {
+        SCOPED_TRACE(std::to_string(shards) + " shards, " +
+                     std::to_string(threads) + " threads");
+        auto fleet = make_sharded(topo, threads, shards,
+                                  /*clients=*/false, faults);
+        fleet->start();
+        fleet->run_until(kHorizon);
+        // A split proxy has no per-proxy log (fail-fast accessors), so
+        // the per-proxy comparison covers unsplit proxies and the
+        // merged stream pins the rest.
+        expect_records_identical(reference.merged,
+                                 fleet->merged_poll_records());
+        for (std::size_t p = 0; p < topo.proxies; ++p) {
+          if (fleet->slice_count(p) != 1) continue;
+          SCOPED_TRACE("proxy " + std::to_string(p));
+          expect_records_identical(reference.records_by_proxy[p],
+                                   fleet->proxy(p).poll_log().records());
         }
+        EXPECT_EQ(reference.origin_requests, fleet->origin_requests());
+        EXPECT_EQ(reference.origin_polls, fleet->origin_polls());
+        EXPECT_EQ(reference.relays_sent, fleet->relays_sent());
+        EXPECT_EQ(reference.relays_delivered, fleet->relays_delivered());
+        EXPECT_EQ(reference.relays_applied, fleet->relays_applied());
+        EXPECT_EQ(reference.relays_in_flight, fleet->relays_in_flight());
+        EXPECT_EQ(reference.relays_lost, fleet->relays_lost());
+        EXPECT_EQ(reference.relays_retried, fleet->relays_retried());
+        EXPECT_EQ(reference.relays_dropped_dark,
+                  fleet->relays_dropped_dark());
+        const FleetOriginLoad load = fleet->origin_load();
+        EXPECT_EQ(reference.load.origin_messages, load.origin_messages);
+        EXPECT_EQ(reference.load.origin_polls, load.origin_polls);
+        EXPECT_EQ(reference.load.relay_refreshes, load.relay_refreshes);
+        EXPECT_EQ(reference.load.failed, load.failed);
+        EXPECT_EQ(fleet->relays_sent(),
+                  fleet->relays_delivered() + fleet->relays_in_flight() +
+                      fleet->relays_lost());
       }
     }
   }
@@ -614,8 +630,8 @@ TEST(ShardedDifferential, FaultInjectionSweepIsByteIdentical) {
 // Demand fills go through the shared poll pipeline, so with client
 // traffic and demand_fill on the *poll-log* differential must still hold:
 // kClientMiss records, their sibling relays and the full cause breakdown
-// reproduce byte-identically at every thread count, under both window
-// policies and with an object-partitioned shard request.  Client-bearing
+// reproduce byte-identically at every thread count, with whole-proxy
+// and object-partitioned shard requests.  Client-bearing
 // proxies are whole colocation units (a split proxy cannot serve one
 // client stream from two slices), so unlike the clientless sweep this
 // test does not expect any proxy to split — it expects the *results* to
@@ -632,42 +648,35 @@ TEST(ShardedDifferential, DemandFillClientSweepIsByteIdentical) {
       ASSERT_FALSE(reference.merged.empty());
       ASSERT_GT(reference.load.demand_fills, 0u);
       expect_load_matches_records(reference);
-      for (const WindowPolicy policy :
-           {WindowPolicy::kFixed, WindowPolicy::kAdaptive}) {
-        for (const std::size_t shards : {std::size_t{0}, topo.proxies + 3}) {
-          for (const std::size_t threads : kThreadCounts) {
-            SCOPED_TRACE(
-                std::string(policy == WindowPolicy::kFixed ? "fixed"
-                                                           : "adaptive") +
-                " windows, " + std::to_string(shards) + " shards, " +
-                std::to_string(threads) + " threads");
-            auto fleet = make_sharded(topo, threads, shards, policy,
-                                      /*clients=*/true);
-            fleet->start();
-            fleet->run_until(kHorizon);
-            Artifacts candidate;
-            for (std::size_t p = 0; p < fleet->size(); ++p) {
-              candidate.records_by_proxy.push_back(
-                  fleet->proxy(p).poll_log().records());
-              for (const UpdateTrace& trace : topo.traces) {
-                candidate.ttr_series.push_back(
-                    fleet->proxy(p).ttr_series(trace.name()));
-              }
+      for (const std::size_t shards : {std::size_t{0}, topo.proxies + 3}) {
+        for (const std::size_t threads : kThreadCounts) {
+          SCOPED_TRACE(std::to_string(shards) + " shards, " +
+                       std::to_string(threads) + " threads");
+          auto fleet = make_sharded(topo, threads, shards, /*clients=*/true);
+          fleet->start();
+          fleet->run_until(kHorizon);
+          Artifacts candidate;
+          for (std::size_t p = 0; p < fleet->size(); ++p) {
+            candidate.records_by_proxy.push_back(
+                fleet->proxy(p).poll_log().records());
+            for (const UpdateTrace& trace : topo.traces) {
+              candidate.ttr_series.push_back(
+                  fleet->proxy(p).ttr_series(trace.name()));
             }
-            candidate.merged = fleet->merged_poll_records();
-            candidate.origin_requests = fleet->origin_requests();
-            candidate.origin_polls = fleet->origin_polls();
-            candidate.relays_sent = fleet->relays_sent();
-            candidate.relays_delivered = fleet->relays_delivered();
-            candidate.relays_applied = fleet->relays_applied();
-            candidate.relays_in_flight = fleet->relays_in_flight();
-            candidate.relays_lost = fleet->relays_lost();
-            candidate.relays_retried = fleet->relays_retried();
-            candidate.relays_dropped_dark = fleet->relays_dropped_dark();
-            candidate.load = fleet->origin_load();
-            expect_artifacts_identical(reference, candidate);
-            expect_load_matches_records(candidate);
           }
+          candidate.merged = fleet->merged_poll_records();
+          candidate.origin_requests = fleet->origin_requests();
+          candidate.origin_polls = fleet->origin_polls();
+          candidate.relays_sent = fleet->relays_sent();
+          candidate.relays_delivered = fleet->relays_delivered();
+          candidate.relays_applied = fleet->relays_applied();
+          candidate.relays_in_flight = fleet->relays_in_flight();
+          candidate.relays_lost = fleet->relays_lost();
+          candidate.relays_retried = fleet->relays_retried();
+          candidate.relays_dropped_dark = fleet->relays_dropped_dark();
+          candidate.load = fleet->origin_load();
+          expect_artifacts_identical(reference, candidate);
+          expect_load_matches_records(candidate);
         }
       }
     }
@@ -722,25 +731,21 @@ TEST(ShardedDifferential, InFlightRelaysDrainExactlyAcrossHorizons) {
   EXPECT_EQ(straight_load.failed, paused_load.failed);
 }
 
-// Object-partitioned maps keep the same counter exactness under both
-// window policies: pausing mid-window never loses a message, and the
-// resumed run merges to the same stream.
+// Object-partitioned maps keep the same counter exactness: pausing
+// mid-window never loses a message, and the resumed run merges to the
+// same stream.
 TEST(ShardedDifferential, PartitionedInFlightRelaysDrainExactly) {
   const Topology topo = random_topology(31);
   const Artifacts straight = sharded_run(topo, 4, kHorizon);
-  for (const WindowPolicy policy :
-       {WindowPolicy::kFixed, WindowPolicy::kAdaptive}) {
-    SCOPED_TRACE(policy == WindowPolicy::kFixed ? "fixed" : "adaptive");
-    auto fleet = make_sharded(topo, 4, topo.proxies + 2, policy);
-    fleet->start();
-    fleet->run_until(7777.7);
-    EXPECT_EQ(fleet->relays_sent(),
-              fleet->relays_delivered() + fleet->relays_in_flight());
-    fleet->run_until(kHorizon);
-    EXPECT_EQ(fleet->relays_in_flight(), 0u);
-    EXPECT_EQ(fleet->relays_sent(), fleet->relays_delivered());
-    expect_records_identical(straight.merged, fleet->merged_poll_records());
-  }
+  auto fleet = make_sharded(topo, 4, topo.proxies + 2);
+  fleet->start();
+  fleet->run_until(7777.7);
+  EXPECT_EQ(fleet->relays_sent(),
+            fleet->relays_delivered() + fleet->relays_in_flight());
+  fleet->run_until(kHorizon);
+  EXPECT_EQ(fleet->relays_in_flight(), 0u);
+  EXPECT_EQ(fleet->relays_sent(), fleet->relays_delivered());
+  expect_records_identical(straight.merged, fleet->merged_poll_records());
 }
 
 // ---- fail-fast contracts ---------------------------------------------------
