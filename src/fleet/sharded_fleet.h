@@ -66,7 +66,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -104,10 +103,6 @@ struct ShardedFleetConfig {
 
   /// Per-shard origin replica configuration.
   OriginServer::Config origin;
-
-  /// Event-queue backend for every shard simulator; unset = the
-  /// Simulator default (the BROADWAY_SCHEDULER environment knob).
-  std::optional<SchedulerBackend> scheduler;
 
   /// Requested shard count.  Colocation units are the δ-group closures
   /// over (proxy, object) *pairs* (a group's members, every proxy's

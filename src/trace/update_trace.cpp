@@ -19,7 +19,15 @@ UpdateTrace::UpdateTrace(std::string name, std::vector<TimePoint> updates,
       updates_(std::move(updates)),
       duration_(duration),
       start_hour_(start_hour) {
-  BROADWAY_CHECK_MSG(duration_ > 0.0, "trace duration " << duration_);
+  BROADWAY_CHECK_MSG(std::isfinite(duration_) && duration_ > 0.0,
+                     "trace duration " << duration_);
+  BROADWAY_CHECK_MSG(std::isfinite(start_hour_),
+                     "trace start_hour " << start_hour_);
+  // Checked first: a NaN compares false both ways, so it slips through
+  // the sortedness and range checks below.
+  for (const TimePoint t : updates_) {
+    BROADWAY_CHECK_MSG(std::isfinite(t), "trace update time " << t);
+  }
   BROADWAY_CHECK(std::is_sorted(updates_.begin(), updates_.end()));
   BROADWAY_CHECK(std::adjacent_find(updates_.begin(), updates_.end()) ==
                  updates_.end());

@@ -15,7 +15,10 @@ ValueTrace::ValueTrace(std::string name, double initial_value,
       duration_(duration),
       min_value_(initial_value),
       max_value_(initial_value) {
-  BROADWAY_CHECK_MSG(duration_ > 0.0, "trace duration " << duration_);
+  BROADWAY_CHECK_MSG(std::isfinite(duration_) && duration_ > 0.0,
+                     "trace duration " << duration_);
+  BROADWAY_CHECK_MSG(std::isfinite(initial_value_),
+                     "trace initial value " << initial_value_);
   TimePoint prev = -1.0;
   for (const Step& s : steps_) {
     BROADWAY_CHECK_MSG(s.time > prev, "steps not strictly increasing at t="

@@ -1,10 +1,10 @@
 // The coordinator-dispatch differential: id-keyed subscription-routed
-// dispatch, run on the binary-heap and the calendar scheduler.
+// dispatch over seeded random group topologies.
 //
-// Over seeded random group topologies — multiple triggered and
-// rate-heuristic coordinators, overlapping member sets, ungrouped
-// bystander objects, loss injection and a mid-run crash — both backends
-// must produce byte-identical poll logs, identical TTR series, identical
+// Each topology — multiple triggered and rate-heuristic coordinators,
+// overlapping member sets, ungrouped bystander objects, loss injection and
+// a mid-run crash — runs twice in fresh simulators, and both runs must
+// produce byte-identical poll logs, identical TTR series, identical
 // triggered-poll and notification counts and identical fidelity.  A
 // second set of pins covers the mechanism itself: the per-object
 // subscriber index, and that an engine with zero coordinators performs
@@ -103,11 +103,8 @@ struct RunArtifacts {
   double mutual_fidelity = 0.0;
 };
 
-RunArtifacts run_topology(const Topology& topology,
-                          SchedulerBackend backend) {
-  Simulator::Config sim_config;
-  sim_config.scheduler = backend;
-  Simulator sim(sim_config);
+RunArtifacts run_topology(const Topology& topology) {
+  Simulator sim;
   OriginServer origin(sim);
 
   EngineConfig config;
@@ -178,23 +175,21 @@ void expect_records_identical(const std::vector<PollRecord>& a,
   }
 }
 
-TEST(DispatchDifferential, RoutedHeapMatchesCalendarOverRandomTopologies) {
+TEST(DispatchDifferential, RoutedRunIsDeterministicOverRandomTopologies) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     const Topology topology = make_topology(seed);
     ASSERT_FALSE(topology.groups.empty());
-    const RunArtifacts heap =
-        run_topology(topology, SchedulerBackend::kBinaryHeap);
-    const RunArtifacts calendar =
-        run_topology(topology, SchedulerBackend::kCalendar);
-    ASSERT_FALSE(heap.records.empty());
-    expect_records_identical(heap.records, calendar.records);
-    EXPECT_EQ(heap.ttr_series, calendar.ttr_series);
-    EXPECT_EQ(heap.triggered, calendar.triggered);
-    EXPECT_EQ(heap.notifies, calendar.notifies);
-    EXPECT_EQ(heap.individual_fidelity, calendar.individual_fidelity);
-    EXPECT_EQ(heap.mutual_fidelity, calendar.mutual_fidelity);
-    EXPECT_GT(heap.notifies, 0u);
+    const RunArtifacts first = run_topology(topology);
+    const RunArtifacts second = run_topology(topology);
+    ASSERT_FALSE(first.records.empty());
+    expect_records_identical(first.records, second.records);
+    EXPECT_EQ(first.ttr_series, second.ttr_series);
+    EXPECT_EQ(first.triggered, second.triggered);
+    EXPECT_EQ(first.notifies, second.notifies);
+    EXPECT_EQ(first.individual_fidelity, second.individual_fidelity);
+    EXPECT_EQ(first.mutual_fidelity, second.mutual_fidelity);
+    EXPECT_GT(first.notifies, 0u);
   }
 }
 

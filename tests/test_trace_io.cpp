@@ -4,9 +4,11 @@
 
 #include <cstdio>
 #include <stdexcept>
+#include <string>
 
 #include "trace/generators.h"
 #include "trace/stock.h"
+#include "util/check.h"
 #include "util/rng.h"
 
 namespace broadway {
@@ -67,6 +69,32 @@ TEST(TraceIo, RejectsMalformed) {
   EXPECT_THROW(
       parse_value_trace("# broadway-value-trace,x,100,1\n1.0\n"),
       std::runtime_error);  // step needs two fields
+  // Non-finite numbers parse as doubles; the trace constructors reject
+  // them, naming the field (a NaN update time would otherwise pass the
+  // sortedness check and fail much later, at schedule time).
+  const auto rejects = [](const auto& parse, const std::string& text,
+                          const std::string& field) {
+    try {
+      parse(text);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const CheckFailure& failure) {
+      EXPECT_NE(std::string(failure.what()).find(field), std::string::npos)
+          << failure.what();
+    }
+  };
+  const auto update = [](const std::string& text) {
+    return parse_update_trace(text);
+  };
+  const auto value = [](const std::string& text) {
+    return parse_value_trace(text);
+  };
+  rejects(update, "# broadway-update-trace,x,100,0\n1\nnan\n2\n",
+          "update time");
+  rejects(update, "# broadway-update-trace,x,inf,0\n1\n2\n", "duration");
+  rejects(update, "# broadway-update-trace,x,100,nan\n1\n2\n",
+          "start_hour");
+  rejects(value, "# broadway-value-trace,x,100,nan\n", "initial value");
+  rejects(value, "# broadway-value-trace,x,inf,1\n", "duration");
 }
 
 TEST(TraceIo, FileRoundTrip) {
