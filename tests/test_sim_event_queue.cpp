@@ -1,243 +1,135 @@
-// The calendar queue and its differential pin against the binary heap.
+// The Simulator's pending-event queue: a binary heap of (time, seq, id)
+// entries whose cancelled events stay behind as tombstones until they
+// reach the top.
 //
-// A scheduler swap is exactly the kind of change that silently reorders
-// same-instant events, so the calendar backend is held to *observable
-// identity* with the heap: the same seeded mix of schedule / cancel /
-// reschedule / current_event operations must produce byte-identical fire
-// sequences — including bursts of events at one instant, where only the
-// FIFO sequence number separates them.  Targeted pins cover the calendar
-// mechanics the random mix cannot see directly: tombstone purging, bucket
-// resizing mid-run, the sparse-regime cursor jump, and EventId generation
-// reuse under the calendar backend.
-#include "sim/event_queue.h"
+// A scheduler change is exactly the kind of change that silently reorders
+// same-instant events, so the queue is held to its ordering contract as an
+// observer sees it: a seeded mix of schedule / cancel / reschedule /
+// current_event operations must fire every live event exactly once, at its
+// scheduled time, in (time, FIFO) order.  Targeted pins cover what the
+// random mix cannot see directly: tombstones at the head of the queue,
+// cancellation after a peek, far-apart fire times, long same-instant
+// bursts and reserved sequence numbers.
+#include "sim/simulator.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
-#include "sim/simulator.h"
 #include "util/check.h"
 #include "util/rng.h"
 
 namespace broadway {
 namespace {
 
-Simulator::Config backend_config(SchedulerBackend backend) {
-  Simulator::Config config;
-  config.scheduler = backend;
-  return config;
-}
+// ---- queue pins --------------------------------------------------------------
 
-// ---- CalendarQueue unit pins -----------------------------------------------
-
-TEST(CalendarQueue, PopsInTimeThenFifoOrder) {
-  CalendarQueue queue;
-  // Scrambled times, including a same-instant burst at t = 7 whose seq
-  // numbers are deliberately pushed out of order.
-  const std::vector<EventEntry> entries = {
-      {7.0, 12, 101}, {3.0, 2, 102},  {7.0, 10, 103}, {1.0, 1, 104},
-      {7.0, 11, 105}, {9.0, 20, 106}, {3.0, 5, 107},
-  };
-  for (const EventEntry& entry : entries) queue.push(entry);
-  std::vector<EventEntry> popped;
-  while (queue.peek() != nullptr) popped.push_back(queue.pop());
-  ASSERT_EQ(popped.size(), entries.size());
-  for (std::size_t i = 1; i < popped.size(); ++i) {
-    EXPECT_TRUE(fires_before(popped[i - 1], popped[i]))
-        << "out of order at " << i;
-  }
-  EXPECT_EQ(popped.front().id, 104u);
-  // The t = 7 burst must come out in seq order 10, 11, 12.
-  EXPECT_EQ(popped[3].id, 103u);
-  EXPECT_EQ(popped[4].id, 105u);
-  EXPECT_EQ(popped[5].id, 101u);
-}
-
-TEST(CalendarQueue, GrowsAndShrinksWithLoad) {
-  CalendarQueue queue;
-  const std::size_t initial_buckets = queue.bucket_count();
-  for (std::uint64_t i = 0; i < 1000; ++i) {
-    queue.push(EventEntry{static_cast<double>((i * 7919) % 1000), i, i + 1});
-  }
-  EXPECT_GT(queue.resizes(), 0u);
-  EXPECT_GT(queue.bucket_count(), initial_buckets);
-  // The derived width should reflect the ~1 s mean inter-event interval,
-  // not the 1.0 default by accident of never resizing.
-  EXPECT_GT(queue.bucket_width(), 0.0);
-  double last = -1.0;
-  std::size_t drained = 0;
-  while (queue.peek() != nullptr) {
-    const EventEntry entry = queue.pop();
-    EXPECT_GE(entry.time, last);
-    last = entry.time;
-    ++drained;
-  }
-  EXPECT_EQ(drained, 1000u);
-  // Shrinks back toward the floor as the load drains.
-  EXPECT_LE(queue.bucket_count(), 2 * initial_buckets);
-}
-
-TEST(CalendarQueue, ResizeMidRunPreservesOrder) {
-  CalendarQueue queue;
-  std::uint64_t seq = 0;
-  std::vector<double> expected;
-  // Interleave pushes and pops so rebuilds happen while a partially
-  // drained year is in flight.
-  double last = -1.0;
-  std::vector<double> popped;
-  for (int round = 0; round < 40; ++round) {
-    for (int i = 0; i < 25; ++i) {
-      const double t = 100.0 * round + (i * 37) % 100;
-      if (t < last) continue;  // keep the monotonic-schedule contract
-      queue.push(EventEntry{t, seq, seq + 1});
-      ++seq;
-      expected.push_back(t);
-    }
-    for (int i = 0; i < 10 && queue.peek() != nullptr; ++i) {
-      const EventEntry entry = queue.pop();
-      EXPECT_GE(entry.time, last);
-      last = entry.time;
-      popped.push_back(entry.time);
-    }
-  }
-  while (queue.peek() != nullptr) popped.push_back(queue.pop().time);
-  std::sort(expected.begin(), expected.end());
-  EXPECT_EQ(popped, expected);
-  EXPECT_GT(queue.resizes(), 1u);
-}
-
-TEST(CalendarQueue, ArenaRecyclesChunksAcrossDrainRefill) {
-  // Bucket storage is a per-queue slab with a free list: draining the
-  // queue returns every chunk to the free list, and an equal refill reuses
-  // them instead of allocating new ones — the slab never grows past the
-  // workload's high-water mark.
-  CalendarQueue queue;
-  std::uint64_t seq = 0;
-  const auto fill = [&queue, &seq](double base) {
-    for (int i = 0; i < 500; ++i) {
-      queue.push(EventEntry{base + static_cast<double>((i * 131) % 500),
-                            seq, seq + 1});
-      ++seq;
-    }
-  };
-  fill(0.0);
-  const std::size_t high_water = queue.arena_chunks();
-  EXPECT_GT(high_water, 0u);
-  while (queue.peek() != nullptr) queue.pop();
-  EXPECT_TRUE(queue.empty());
-  // Refill at the same load (later times keep the monotonic-schedule
-  // contract): recycled chunks, no slab growth beyond the first cycle's
-  // high-water mark (small slack: bucket-boundary rounding of the shifted
-  // times can chain one or two extra chunks).
-  fill(1000.0);
-  EXPECT_LE(queue.arena_chunks(), high_water + 4);
-  std::size_t drained = 0;
-  double last = -1.0;
-  while (queue.peek() != nullptr) {
-    const EventEntry entry = queue.pop();
-    EXPECT_GE(entry.time, last);
-    last = entry.time;
-    ++drained;
-  }
-  EXPECT_EQ(drained, 500u);
-}
-
-struct TombstoneSet {
-  std::set<EventId> dead;
-  static bool live(const void* context, EventId id) {
-    const auto* self = static_cast<const TombstoneSet*>(context);
-    return self->dead.find(id) == self->dead.end();
-  }
-};
-
-TEST(CalendarQueue, PurgesTombstonesOnTheWay) {
-  TombstoneSet tombstones;
-  CalendarQueue queue(&TombstoneSet::live, &tombstones);
-  for (std::uint64_t i = 0; i < 100; ++i) {
-    queue.push(EventEntry{static_cast<double>(i), i, i + 1});
+TEST(EventQueue, CancelledEventsAreSkippedAndNotCounted) {
+  Simulator sim;
+  std::vector<int> fired;
+  std::vector<EventId> ids;
+  for (int i = 0; i < 100; ++i) {
+    ids.push_back(sim.schedule_at(static_cast<double>(i),
+                                  [&fired, i] { fired.push_back(i); }));
   }
   // Kill the current head and a band in the middle.
-  tombstones.dead.insert(1);
-  for (EventId id = 40; id < 60; ++id) tombstones.dead.insert(id);
-  std::vector<EventId> popped;
-  while (queue.peek() != nullptr) popped.push_back(queue.pop().id);
-  EXPECT_EQ(popped.size(), 79u);
-  for (const EventId id : popped) {
-    EXPECT_EQ(tombstones.dead.count(id), 0u);
+  EXPECT_TRUE(sim.cancel(ids[0]));
+  for (int i = 40; i < 60; ++i) EXPECT_TRUE(sim.cancel(ids[i]));
+  EXPECT_EQ(sim.pending(), 79u);
+  EXPECT_EQ(sim.run(), 79u);
+  ASSERT_EQ(fired.size(), 79u);
+  EXPECT_EQ(fired.front(), 1);  // the dead head was skipped
+  for (const int i : fired) EXPECT_TRUE(i < 40 || i >= 60) << i;
+  EXPECT_TRUE(std::is_sorted(fired.begin(), fired.end()));
+  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_FALSE(sim.next_event_info().valid);
+}
+
+TEST(EventQueue, CancelAfterPeekExposesTheNextEvent) {
+  Simulator sim;
+  const EventId first = sim.schedule_at(1.0, [] {});
+  sim.schedule_at(2.0, [] {});
+  Simulator::NextEvent next = sim.next_event_info();
+  ASSERT_TRUE(next.valid);
+  EXPECT_EQ(next.time, 1.0);
+  // Cancel after the peek located the minimum.
+  EXPECT_TRUE(sim.cancel(first));
+  next = sim.next_event_info();
+  ASSERT_TRUE(next.valid);
+  EXPECT_EQ(next.time, 2.0);
+  EXPECT_TRUE(sim.step());
+  EXPECT_EQ(sim.now(), 2.0);
+  EXPECT_FALSE(sim.next_event_info().valid);
+  EXPECT_FALSE(sim.step());
+}
+
+TEST(EventQueue, SparseEventsFarApartStillOrdered) {
+  Simulator sim;
+  std::vector<double> fired;
+  const auto record = [&fired, &sim] { fired.push_back(sim.now()); };
+  sim.schedule_at(10.0, record);
+  sim.schedule_at(1.0e6, record);
+  sim.schedule_at(5.0e8, record);
+  EXPECT_EQ(sim.run(1), 1u);
+  // A push well before the far event must still fire first.
+  sim.schedule_at(1.5e6, record);
+  sim.run();
+  EXPECT_EQ(fired, (std::vector<double>{10.0, 1.0e6, 1.5e6, 5.0e8}));
+}
+
+TEST(EventQueue, SameInstantBurstStaysFifo) {
+  Simulator sim;
+  std::vector<int> order;
+  for (int i = 0; i < 500; ++i) {
+    sim.schedule_at(42.0, [&order, i] { order.push_back(i); });
   }
-  EXPECT_EQ(popped.front(), 2u);  // the dead head was skipped
-  EXPECT_EQ(queue.size(), 0u);    // purged, not merely skipped
+  sim.run();
+  ASSERT_EQ(order.size(), 500u);
+  for (int i = 0; i < 500; ++i) EXPECT_EQ(order[i], i);
 }
 
-TEST(CalendarQueue, CancelledCachedMinimumIsDropped) {
-  TombstoneSet tombstones;
-  CalendarQueue queue(&TombstoneSet::live, &tombstones);
-  queue.push(EventEntry{1.0, 0, 1});
-  queue.push(EventEntry{2.0, 1, 2});
-  ASSERT_NE(queue.peek(), nullptr);
-  EXPECT_EQ(queue.peek()->id, 1u);
-  // Cancel after the peek located (and cached) the minimum.
-  tombstones.dead.insert(1);
-  ASSERT_NE(queue.peek(), nullptr);
-  EXPECT_EQ(queue.peek()->id, 2u);
-  EXPECT_EQ(queue.pop().id, 2u);
-  EXPECT_EQ(queue.peek(), nullptr);
-}
+// ---- seeded op-mix contract -------------------------------------------------
 
-TEST(CalendarQueue, SparseEventsFarApartStillOrdered) {
-  CalendarQueue queue;
-  // Events many calendar years apart force the direct-search jump.
-  queue.push(EventEntry{10.0, 0, 1});
-  queue.push(EventEntry{1.0e6, 1, 2});
-  queue.push(EventEntry{5.0e8, 2, 3});
-  ASSERT_NE(queue.peek(), nullptr);
-  EXPECT_EQ(queue.pop().id, 1u);
-  EXPECT_EQ(queue.pop().id, 2u);
-  // A push behind the jumped cursor must rewind it.
-  queue.push(EventEntry{1.5e6, 3, 4});
-  EXPECT_EQ(queue.pop().id, 4u);
-  EXPECT_EQ(queue.pop().id, 3u);
-  EXPECT_EQ(queue.peek(), nullptr);
-}
+// One seeded script of schedule / cancel / reschedule / burst operations
+// interleaved with bounded runs, and what an observer of it can check.
+// Every scheduled event gets the next integer tag, so tag order is
+// schedule (FIFO sequence) order.
+struct ScriptRun {
+  std::vector<std::pair<TimePoint, int>> fires;  // (now(), tag) per firing
+  std::map<int, TimePoint> scheduled_for;        // tag -> requested time
+  std::set<int> cancelled;                       // tags whose cancel() won
+};
 
-TEST(CalendarQueue, SameInstantBurstStaysFifoAcrossResizes) {
-  CalendarQueue queue;
-  for (std::uint64_t i = 0; i < 500; ++i) {
-    queue.push(EventEntry{42.0, i, i + 1});
-  }
-  for (std::uint64_t i = 0; i < 500; ++i) {
-    ASSERT_NE(queue.peek(), nullptr);
-    EXPECT_EQ(queue.pop().seq, i);
-  }
-}
-
-// ---- randomized differential crosscheck ------------------------------------
-
-// One recorded firing: (time, op tag).  EventIds are backend-internal, so
-// identity is asserted over what an observer of the simulation can see.
-using FireLog = std::vector<std::pair<TimePoint, int>>;
-
-// Drive one simulator through a seeded op mix and return its fire log.
-// The script derives every decision from its own Rng so both backends see
-// exactly the same operations; `pending` maps script-level handles to the
-// backend's EventIds.
-FireLog run_script(SchedulerBackend backend, std::uint64_t seed) {
-  Simulator sim(backend_config(backend));
-  FireLog log;
+ScriptRun run_script(std::uint64_t seed) {
+  Simulator sim;
+  ScriptRun out;
   Rng rng(seed);
-  std::vector<EventId> pending;
-  int tag = 0;
+  std::vector<std::pair<EventId, int>> pending;
+  int next_tag = 0;
 
-  const auto schedule = [&](TimePoint t, int my_tag) {
-    const EventId id = sim.schedule_at(t, [&sim, &log, my_tag] {
-      // current_event() must identify the running callback on both
-      // backends (the engine's retry path depends on it).
+  const auto schedule = [&](TimePoint t) {
+    const int tag = next_tag++;
+    out.scheduled_for[tag] = t;
+    const EventId id = sim.schedule_at(t, [&sim, &out, tag] {
+      // current_event() must identify the running callback (the engine's
+      // retry path depends on it).
       BROADWAY_CHECK(sim.current_event() != kInvalidEventId);
-      log.emplace_back(sim.now(), my_tag);
+      out.fires.emplace_back(sim.now(), tag);
     });
-    pending.push_back(id);
+    pending.emplace_back(id, tag);
+  };
+  const auto cancel_one = [&] {
+    const std::size_t victim = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(pending.size()) - 1));
+    // Only still-pending events are in `pending`, so every cancel wins.
+    EXPECT_TRUE(sim.cancel(pending[victim].first));
+    out.cancelled.insert(pending[victim].second);
+    pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(victim));
   };
 
   for (int phase = 0; phase < 30; ++phase) {
@@ -247,29 +139,19 @@ FireLog run_script(SchedulerBackend backend, std::uint64_t seed) {
       if (dice < 0.55 || pending.empty()) {
         // Quantised delays manufacture plenty of same-instant ties,
         // including zero-delay events at the current instant.
-        const double delay = rng.uniform_int(0, 40) * 0.25;
-        schedule(sim.now() + delay, tag++);
+        schedule(sim.now() + rng.uniform_int(0, 40) * 0.25);
       } else if (dice < 0.75) {
-        const std::size_t victim = static_cast<std::size_t>(
-            rng.uniform_int(0, static_cast<std::int64_t>(pending.size()) - 1));
-        sim.cancel(pending[victim]);
-        pending.erase(pending.begin() +
-                      static_cast<std::ptrdiff_t>(victim));
+        cancel_one();
       } else if (dice < 0.9) {
         // Reschedule: cancel + schedule at a fresh instant, like
         // PeriodicTask::reschedule does.
-        const std::size_t victim = static_cast<std::size_t>(
-            rng.uniform_int(0, static_cast<std::int64_t>(pending.size()) - 1));
-        sim.cancel(pending[victim]);
-        pending.erase(pending.begin() +
-                      static_cast<std::ptrdiff_t>(victim));
-        const double delay = rng.uniform_int(0, 40) * 0.25;
-        schedule(sim.now() + delay, tag++);
+        cancel_one();
+        schedule(sim.now() + rng.uniform_int(0, 40) * 0.25);
       } else {
         // Burst: several events at one shared instant.
         const double t = sim.now() + rng.uniform_int(0, 20) * 0.5;
         const int burst = static_cast<int>(rng.uniform_int(2, 6));
-        for (int i = 0; i < burst; ++i) schedule(t, tag++);
+        for (int i = 0; i < burst; ++i) schedule(t);
       }
     }
     // Advance: sometimes a bounded number of steps, sometimes to a
@@ -280,86 +162,56 @@ FireLog run_script(SchedulerBackend backend, std::uint64_t seed) {
       sim.run_until(sim.now() + rng.uniform_int(0, 12) * 1.0);
     }
     pending.erase(std::remove_if(pending.begin(), pending.end(),
-                                 [&sim](EventId id) {
-                                   return !sim.is_pending(id);
+                                 [&sim](const std::pair<EventId, int>& p) {
+                                   return !sim.is_pending(p.first);
                                  }),
                   pending.end());
   }
   sim.run();
-  return log;
-}
-
-TEST(SchedulerDifferential, RandomOpMixFiresIdentically) {
-  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-    const FireLog heap = run_script(SchedulerBackend::kBinaryHeap, seed);
-    const FireLog calendar = run_script(SchedulerBackend::kCalendar, seed);
-    ASSERT_FALSE(heap.empty());
-    EXPECT_EQ(heap, calendar) << "fire sequences diverged for seed " << seed;
-  }
-}
-
-TEST(SchedulerDifferential, CountersAgree) {
-  for (std::uint64_t seed = 11; seed <= 13; ++seed) {
-    Simulator heap(backend_config(SchedulerBackend::kBinaryHeap));
-    Simulator calendar(backend_config(SchedulerBackend::kCalendar));
-    for (Simulator* sim : {&heap, &calendar}) {
-      Rng rng(seed);
-      for (int i = 0; i < 500; ++i) {
-        const EventId id =
-            sim->schedule_at(rng.uniform_int(0, 200) * 0.5, [] {});
-        if (rng.bernoulli(0.3)) sim->cancel(id);
-      }
-      sim->run_until(60.0);
-    }
-    EXPECT_EQ(heap.pending(), calendar.pending());
-    EXPECT_EQ(heap.executed(), calendar.executed());
-    EXPECT_DOUBLE_EQ(heap.now(), calendar.now());
-  }
-}
-
-// ---- Simulator-level calendar pins -----------------------------------------
-
-TEST(CalendarSimulator, EventIdsAreNeverRevivedBySlotReuse) {
-  // The calendar-backend twin of the simulator's generation-reuse pin.
-  Simulator sim(backend_config(SchedulerBackend::kCalendar));
-  const EventId first = sim.schedule_at(1.0, [] {});
-  sim.run();
-  EXPECT_FALSE(sim.is_pending(first));
-  std::vector<EventId> later;
-  for (int i = 0; i < 64; ++i) {
-    later.push_back(sim.schedule_at(10.0 + i, [] {}));
-  }
-  EXPECT_FALSE(sim.is_pending(first));
-  EXPECT_FALSE(sim.cancel(first));
-  EXPECT_EQ(sim.fire_time(first), kTimeInfinity);
-  for (const EventId id : later) EXPECT_TRUE(sim.is_pending(id));
-  sim.run();
   EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_EQ(sim.executed(), out.fires.size());
+  return out;
 }
 
-TEST(CalendarSimulator, BackendSelectionIsReported) {
-  Simulator heap(backend_config(SchedulerBackend::kBinaryHeap));
-  Simulator calendar(backend_config(SchedulerBackend::kCalendar));
-  EXPECT_EQ(heap.scheduler(), SchedulerBackend::kBinaryHeap);
-  EXPECT_EQ(calendar.scheduler(), SchedulerBackend::kCalendar);
+TEST(EventQueue, RandomOpMixHonoursTheOrderingContract) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const ScriptRun run = run_script(seed);
+    ASSERT_FALSE(run.fires.empty());
+    ASSERT_FALSE(run.cancelled.empty());
+    std::map<int, int> fire_count;
+    for (std::size_t i = 0; i < run.fires.size(); ++i) {
+      const auto& [time, tag] = run.fires[i];
+      ++fire_count[tag];
+      EXPECT_EQ(time, run.scheduled_for.at(tag)) << "tag " << tag;
+      EXPECT_EQ(run.cancelled.count(tag), 0u) << "cancelled tag " << tag;
+      if (i == 0) continue;
+      const auto& [prev_time, prev_tag] = run.fires[i - 1];
+      EXPECT_LE(prev_time, time) << "time went backwards at fire " << i;
+      if (prev_time == time) {
+        EXPECT_LT(prev_tag, tag) << "same-instant fires out of FIFO order";
+      }
+    }
+    for (const auto& [tag, when] : run.scheduled_for) {
+      const int expected = run.cancelled.count(tag) != 0 ? 0 : 1;
+      EXPECT_EQ(fire_count[tag], expected) << "tag " << tag << " at " << when;
+    }
+  }
 }
 
 TEST(ReservedSequences, TieBreakAsIfScheduledAtReservationTime) {
-  for (const SchedulerBackend backend :
-       {SchedulerBackend::kBinaryHeap, SchedulerBackend::kCalendar}) {
-    Simulator sim(backend_config(backend));
-    std::vector<int> order;
-    // Reserve three numbers *before* the competing event is scheduled...
-    const std::uint64_t base = sim.reserve_sequence(3);
-    sim.schedule_at(5.0, [&] { order.push_back(99); });
-    // ...then spend them afterwards, even out of reservation order.
-    sim.schedule_at_reserved(5.0, base + 2, [&] { order.push_back(2); });
-    sim.schedule_at_reserved(5.0, base + 0, [&] { order.push_back(0); });
-    sim.schedule_at_reserved(5.0, base + 1, [&] { order.push_back(1); });
-    sim.run();
-    // All three reserved events outrank the later-sequenced competitor.
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 99}));
-  }
+  Simulator sim;
+  std::vector<int> order;
+  // Reserve three numbers *before* the competing event is scheduled...
+  const std::uint64_t base = sim.reserve_sequence(3);
+  sim.schedule_at(5.0, [&] { order.push_back(99); });
+  // ...then spend them afterwards, even out of reservation order.
+  sim.schedule_at_reserved(5.0, base + 2, [&] { order.push_back(2); });
+  sim.schedule_at_reserved(5.0, base + 0, [&] { order.push_back(0); });
+  sim.schedule_at_reserved(5.0, base + 1, [&] { order.push_back(1); });
+  sim.run();
+  // All three reserved events outrank the later-sequenced competitor.
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 99}));
 }
 
 TEST(ReservedSequences, UnreservedSequenceIsRejected) {
