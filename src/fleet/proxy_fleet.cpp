@@ -188,20 +188,24 @@ void ProxyFleet::on_poll(std::size_t proxy_index, const PollEvent& event) {
     // The fan-out round is a pure function of the sender's poll history
     // (one round per relayable poll of this (proxy, object)), so every
     // shard layout derives identical fault-draw keys from it.
-    const std::uint64_t round =
-        faults_active_ ? next_relay_round(proxy_index, event.object) : 0;
+    const RelaySend send{
+        proxy_ids_[proxy_index], event.object, event.snapshot,
+        faults_active_ ? next_relay_round(proxy_index, event.object) : 0};
+    std::shared_ptr<const Response> message;  // made on first need
     for (std::size_t j = 0; j < engines_.size(); ++j) {
       if (j == proxy_index) continue;
       if (!engines_[j]->relay_eligible(event.object)) continue;
-      relay(proxy_index, j, event.object, event.response, event.snapshot,
-            round);
+      const RelayDest to{static_cast<std::uint32_t>(proxy_ids_[j]),
+                         RelayDest::kLocal, static_cast<std::uint32_t>(j)};
+      relay_attempt(to, send, event.response, message, /*attempt=*/0);
     }
-    // Destinations hosted by other fleet instances (sharding): hand the
-    // poll to the exporter, which fans out through the cross-shard
-    // mailboxes.  Local and exported deliveries land on different
-    // simulators, so their relative send order here is immaterial.
-    if (relay_exporter_ != nullptr) {
-      relay_exporter_(proxy_ids_[proxy_index], event, round);
+    // Destinations hosted by other fleet instances (sharding).  Their
+    // deliveries land on other simulators, so their send order relative
+    // to the local siblings is immaterial.
+    if (relays_remotely(event.object)) {
+      for (const RelayDest& to : remote_dests_[event.object]) {
+        relay_attempt(to, send, event.response, message, /*attempt=*/0);
+      }
     }
   }
   if (event.observation != nullptr) {
@@ -216,93 +220,66 @@ std::uint64_t ProxyFleet::next_relay_round(std::size_t proxy_index,
   return rounds[object]++;
 }
 
-void ProxyFleet::relay(std::size_t from, std::size_t to, ObjectId object,
-                       const Response& response, TimePoint snapshot,
-                       std::uint64_t round) {
-  if (!faults_active_) {
-    ++relays_sent_;
-    if (config_.relay_latency <= 0.0) {
-      // Synchronous relay: the receiving engine reads the polling
-      // engine's response in place — no copy anywhere on the path.
-      deliver(to, object, response, snapshot);
-      return;
-    }
-    // One copy: the PollEvent's references die with the poll pipeline,
-    // and a typed history span points into origin storage the object may
-    // outgrow before delivery — detach it into the in-flight message
-    // (shared_ptr keeps the scheduling closure copyable).
-    auto message = std::make_shared<Response>(response);
-    message->meta.own_history();
-    ++relays_in_flight_;
-    // Deliveries to watched pairs feed the adaptive window bound: push
-    // the delivery time now, pop it when the message lands.
-    const bool watched = watched_dest(to, object);
-    const TimePoint deliver_at = sim_.now() + config_.relay_latency;
-    if (watched) pending_watched_.insert(deliver_at);
-    sim_.schedule_after(
-        config_.relay_latency,
-        [this, to, object, message, snapshot, watched, deliver_at] {
-          --relays_in_flight_;
-          if (watched) pending_watched_.erase(pending_watched_.find(deliver_at));
-          deliver(to, object, *message, snapshot);
-        });
-    return;
-  }
-  // Fault path: a lost first attempt must still retry after the
-  // PollEvent's references die, so the copy happens up front.
-  auto message = std::make_shared<Response>(response);
-  message->meta.own_history();
-  relay_attempt(proxy_ids_[from], to, object, std::move(message), snapshot,
-                round, /*attempt=*/0);
-}
-
-void ProxyFleet::relay_attempt(std::size_t src_global, std::size_t to,
-                               ObjectId object,
-                               std::shared_ptr<const Response> message,
-                               TimePoint snapshot, std::uint64_t round,
+void ProxyFleet::relay_attempt(const RelayDest& to, const RelaySend& send,
+                               const Response& response,
+                               std::shared_ptr<const Response>& message,
                                std::size_t attempt) {
-  const FaultSchedule& faults = config_.faults;
+  const auto shared = [&response,
+                       &message]() -> const std::shared_ptr<const Response>& {
+    if (message == nullptr) {
+      auto copy = std::make_shared<Response>(response);
+      copy->meta.own_history();
+      message = std::move(copy);
+    }
+    return message;
+  };
   // The ledger invariant sent == delivered + in_flight + lost holds at
   // every instant: each attempt is counted sent here and ends up in
-  // exactly one of the other three buckets below.
+  // exactly one of the other three buckets.
   ++relays_sent_;
-  if (attempt > 0) ++relays_retried_;
-  const std::uint64_t counter = faults.attempt_counter(round, attempt);
-  const std::size_t dst_global = proxy_ids_[to];
-  if (faults.relay_lost(object, src_global, dst_global, counter)) {
-    ++relays_lost_;
-    if (attempt >= faults.relay_retry_limit) return;  // abandoned
-    // The retry chain belongs to the network substrate, not the sending
-    // engine: a sender crash between attempts does not cancel it.
-    const Duration backoff = faults.retry_backoff(attempt);
-    const TimePoint fire = sim_.now() + backoff;
-    pending_relay_retries_.insert(fire);
-    sim_.schedule_after(
-        backoff, [this, src_global, to, object, message, snapshot, round,
-                  attempt, fire] {
-          pending_relay_retries_.erase(pending_relay_retries_.find(fire));
-          relay_attempt(src_global, to, object, message, snapshot, round,
-                        attempt + 1);
-        });
+  Duration delay = config_.relay_latency;
+  if (faults_active_) {
+    const FaultSchedule& faults = config_.faults;
+    if (attempt > 0) ++relays_retried_;
+    const std::uint64_t counter = faults.attempt_counter(send.round, attempt);
+    if (faults.relay_lost(send.object, send.from, to.global, counter)) {
+      ++relays_lost_;
+      if (attempt >= faults.relay_retry_limit) return;  // abandoned
+      const TimePoint fire = sim_.now() + faults.retry_backoff(attempt);
+      pending_relay_retries_.insert(fire);
+      sim_.schedule_at(fire, [this, to, send, message = shared(), attempt,
+                              fire]() mutable {
+        pending_relay_retries_.erase(pending_relay_retries_.find(fire));
+        relay_attempt(to, send, *message, message, attempt + 1);
+      });
+      return;
+    }
+    delay += faults.relay_jitter(send.object, send.from, to.global, counter);
+  }
+  const bool local = to.shard == RelayDest::kLocal;
+  if (local && delay <= 0.0) {
+    // Synchronous relay: the receiving engine reads the response in
+    // place — no copy anywhere on the path.
+    deliver(to.local, send.object, response, send.snapshot);
     return;
   }
-  const Duration delay =
-      config_.relay_latency +
-      faults.relay_jitter(object, src_global, dst_global, counter);
-  if (delay <= 0.0) {
-    deliver(to, object, *message, snapshot);
+  const TimePoint deliver_at = sim_.now() + delay;
+  if (!local) {
+    remote_sink_(to, send.object, deliver_at, send.snapshot, shared());
     return;
   }
   ++relays_in_flight_;
-  const bool watched = watched_dest(to, object);
-  const TimePoint deliver_at = sim_.now() + delay;
+  // Deliveries to watched pairs feed the adaptive window bound: push the
+  // delivery time now, pop it when the message lands.
+  const bool watched = watched_dest(to.local, send.object);
   if (watched) pending_watched_.insert(deliver_at);
-  sim_.schedule_after(
-      delay, [this, to, object, message, snapshot, watched, deliver_at] {
-        --relays_in_flight_;
-        if (watched) pending_watched_.erase(pending_watched_.find(deliver_at));
-        deliver(to, object, *message, snapshot);
-      });
+  sim_.schedule_at(deliver_at, [this, dest = to.local, object = send.object,
+                                message = shared(), snapshot = send.snapshot,
+                                watched, deliver_at] {
+    --relays_in_flight_;
+    if (watched) pending_watched_.erase(pending_watched_.find(deliver_at));
+    deliver(dest, object, *message, snapshot);
+  });
 }
 
 void ProxyFleet::deliver(std::size_t to, ObjectId object,

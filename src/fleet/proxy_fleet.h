@@ -22,7 +22,10 @@
 // history to the updates the sibling has not seen and rejects stale or
 // non-validating relays.  Each relay is recorded at the receiving proxy as
 // PollCause::kRelay — visible to the fidelity evaluation, excluded from
-// origin-poll counts.
+// origin-poll counts.  Every relay attempt, to a local sibling or (under
+// ShardedFleet) to a proxy hosted by another fleet instance, takes one
+// send path: count, fault draws, delivery instant, then local delivery
+// or a hand-off to the remote sink.
 #pragma once
 
 #include <cstddef>
@@ -81,7 +84,7 @@ struct FleetConfig {
   /// global ids and counter-based hash draws, so a shard slice inherits
   /// this config unchanged and faulty runs stay byte-identical to the
   /// whole-fleet reference.  Default-constructed = no faults (the relay
-  /// path keeps its zero-copy synchronous fast path).
+  /// path makes no draws).
   FaultSchedule faults;
 };
 
@@ -134,18 +137,39 @@ class ProxyFleet {
 
   // ---- cross-fleet relay (ShardedFleet plumbing) ----
 
-  /// Observer for relays that must leave this fleet instance.  Called
-  /// once per relayable poll (inside the poll event, after local
-  /// siblings were handled); the callee fans out to proxies hosted
-  /// elsewhere.  Event references die with the call — copy the response
-  /// (and own_history()) before stashing it.  `round` is the sender's
-  /// per-(proxy, object) relay fan-out round — a pure function of the
-  /// sender's poll history — which keys the exporter's fault draws so a
-  /// remote destination draws exactly what it would have drawn locally.
-  using RelayExporter = std::function<void(
-      std::size_t from_global, const PollEvent& event, std::uint64_t round)>;
-  void set_relay_exporter(RelayExporter exporter) {
-    relay_exporter_ = std::move(exporter);
+  /// A relay destination.  `global` is the receiving proxy's global id
+  /// (it keys the fault draws); `shard` names the fleet instance hosting
+  /// it (kLocal = this one, otherwise opaque here) and `local` its proxy
+  /// index there.
+  struct RelayDest {
+    static constexpr std::uint32_t kLocal = UINT32_MAX;
+    std::uint32_t global = 0;
+    std::uint32_t shard = kLocal;
+    std::uint32_t local = 0;
+  };
+
+  /// Receives every relay attempt bound for a remote destination that
+  /// survived its loss draw, inside the sending event (poll or retry).
+  /// `deliver_at` is the attempt's delivery instant; `response` is the
+  /// poll's detached copy, shared by all of its destinations.
+  using RemoteRelaySink = std::function<void(
+      const RelayDest& to, ObjectId object, TimePoint deliver_at,
+      TimePoint snapshot, const std::shared_ptr<const Response>& response)>;
+
+  /// Route relays to proxies hosted by other fleet instances.
+  /// `dests[object]` lists `object`'s remote destinations in ascending
+  /// global id, the order the one-simulator reference sends to them; each
+  /// is sent after the local siblings, through the same attempt chain
+  /// (count, loss, retry, jitter), then handed to `sink`.
+  void set_remote_relays(std::vector<std::vector<RelayDest>> dests,
+                         RemoteRelaySink sink) {
+    remote_dests_ = std::move(dests);
+    remote_sink_ = std::move(sink);
+  }
+
+  /// True when relays of `object` have remote destinations.
+  bool relays_remotely(ObjectId object) const {
+    return object < remote_dests_.size() && !remote_dests_[object].empty();
   }
 
   /// Deliver a relay message that originated outside this fleet instance
@@ -161,8 +185,8 @@ class ProxyFleet {
 
   /// Mark the (local proxy, object) pairs whose relay *deliveries* can
   /// cause a cross-fleet-visible send at the delivery instant (a delivery
-  /// can trigger δ-sibling polls, which may export).  `watch[local]` is a
-  /// per-ObjectId flag vector; pairs beyond its length are unwatched.
+  /// can trigger δ-sibling polls, which may relay out).  `watch[local]` is
+  /// a per-ObjectId flag vector; pairs beyond its length are unwatched.
   /// Pending latency-delayed relays to watched pairs contribute their
   /// delivery times to next_watched_delivery(), the fleet's share of the
   /// sharded driver's adaptive window bound.
@@ -176,10 +200,11 @@ class ProxyFleet {
                                     : *pending_watched_.begin();
   }
 
-  /// Earliest pending local relay-retry firing; kTimeInfinity when none.
-  /// A retry that fires inside a lookahead window can deliver and trigger
-  /// δ-sibling polls that export, so the sharded driver folds this into
-  /// its adaptive send bound alongside next_watched_delivery().
+  /// Earliest pending relay-retry firing, local or remote destination;
+  /// kTimeInfinity when none.  A remote retry's fire is itself a
+  /// cross-fleet send, and a local one can deliver and trigger δ-sibling
+  /// polls that relay out, so the sharded driver folds this into its
+  /// adaptive send bound alongside next_watched_delivery().
   TimePoint next_relay_retry() const {
     return pending_relay_retries_.empty() ? kTimeInfinity
                                           : *pending_relay_retries_.begin();
@@ -233,20 +258,21 @@ class ProxyFleet {
                                       : client_traffic_->next_fire();
   }
 
-  /// Relay transmission attempts on the *local* channel (one per
-  /// destination per attempt — a retried relay counts again; exported
-  /// relays are counted by the exporter's owner).  The fault ledger
+  /// Relay transmission attempts sent by this fleet's proxies (one per
+  /// destination per attempt — a retried relay counts again), remote
+  /// destinations included.  Over the whole fleet the fault ledger
   ///   relays_sent == relays_delivered + relays_in_flight + relays_lost
   /// holds at every instant: an attempt is lost, in flight, or delivered,
   /// and nothing else.  Without faults and with zero latency every send
   /// is delivered in the same call, so sent == delivered.
   std::size_t relays_sent() const { return relays_sent_; }
 
-  /// Local relay messages scheduled but not yet delivered.  At a quiesced
-  /// horizon past the last send + relay_latency this is 0; a sweep that
-  /// stops mid-window sees the exact number of messages the counters have
-  /// not yet absorbed (never silently dropped — extending the run
-  /// delivers them).  Pending retry *waits* are not in flight: a lost
+  /// Relay messages scheduled on this simulator but not yet delivered
+  /// (remote attempts in flight are held by the sink's owner).  At a
+  /// quiesced horizon past the last send + relay_latency this is 0; a
+  /// sweep that stops mid-window sees the exact number of messages the
+  /// counters have not yet absorbed (never silently dropped — extending
+  /// the run delivers them).  Pending retry *waits* are not in flight: a lost
   /// attempt is already counted in relays_lost and its retry, once sent,
   /// counts as a fresh attempt.
   std::size_t relays_in_flight() const { return relays_in_flight_; }
@@ -286,7 +312,9 @@ class ProxyFleet {
       groups_by_member_;
   std::vector<std::size_t> proxy_ids_;  // local index -> global proxy id
   std::unique_ptr<FleetClientTraffic> client_traffic_;  // null = no clients
-  RelayExporter relay_exporter_;
+  // Remote destinations per object and their sink (set_remote_relays).
+  std::vector<std::vector<RelayDest>> remote_dests_;
+  RemoteRelaySink remote_sink_;
   // Watched destination pairs (see set_send_watch) and the delivery times
   // of in-flight relays headed to them.  Latency jitter makes deliveries
   // complete out of send order, so an ordered multiset replaces the
@@ -313,25 +341,27 @@ class ProxyFleet {
   /// then feed δ-groups.
   void on_poll(std::size_t proxy, const PollEvent& event);
 
-  /// Send one relay message from local proxy `from` to proxy `to`
-  /// (delivered now, or after relay_latency + jitter).  `snapshot` is the
-  /// relaying proxy's poll fire time, `round` the sender's fan-out round
-  /// for the fault draws.  The fault-free synchronous path hands the
-  /// pipeline's response straight through by reference; a latency-delayed
-  /// or fault-injected relay copies it (detaching the typed history span
-  /// first — the origin may update the object before delivery).
-  void relay(std::size_t from, std::size_t to, ObjectId object,
-             const Response& response, TimePoint snapshot,
-             std::uint64_t round);
+  /// What every attempt of one relayable poll shares.
+  struct RelaySend {
+    std::size_t from = 0;  ///< sender's global id
+    ObjectId object = kInvalidObjectId;
+    TimePoint snapshot = 0.0;  ///< the sender's poll fire time
+    std::uint64_t round = 0;   ///< the sender's fan-out round
+  };
 
-  /// One transmission attempt of a fault-injected relay: draws loss (a
-  /// lost attempt below the retry limit schedules the next attempt after
-  /// the capped exponential backoff) and jitter, then delivers.  The
-  /// retry chain is owned by the simulator, not the sending engine — a
-  /// sender crash does not cancel messages already handed to the network.
-  void relay_attempt(std::size_t src_global, std::size_t to, ObjectId object,
-                     std::shared_ptr<const Response> message,
-                     TimePoint snapshot, std::uint64_t round,
+  /// The one relay send path: one transmission attempt to `to`, local or
+  /// remote.  Counts the send; under faults draws loss (a lost attempt
+  /// below the retry limit schedules the next one after the capped
+  /// exponential backoff) and jitter; then delivers at now + delay.  A
+  /// local delivery with delay 0 reads `response` in place; every other
+  /// delivery, and every retry, shares `message`, the poll's detached
+  /// copy, made on first need (the poll's references die with the
+  /// pipeline, and the history span points into origin storage the object
+  /// may outgrow).  The retry chain belongs to the network substrate, not
+  /// the sending engine: a sender crash does not cancel it.
+  void relay_attempt(const RelayDest& to, const RelaySend& send,
+                     const Response& response,
+                     std::shared_ptr<const Response>& message,
                      std::size_t attempt);
 
   /// Consume the next fan-out round of (local proxy, object).

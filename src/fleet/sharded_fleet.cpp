@@ -373,8 +373,7 @@ void ShardedFleet::build_remote_dests() {
   // them (its slice is the source shard).
   const std::size_t objects = shards_[0].origin->uri_table().size();
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    Shard& shard = shards_[s];
-    shard.remote_dests.assign(objects, std::vector<RemoteDest>());
+    std::vector<std::vector<ProxyFleet::RelayDest>> dests(objects);
     for (ObjectId object = 0; object < static_cast<ObjectId>(objects);
          ++object) {
       for (std::size_t proxy = 0; proxy < proxy_count_; ++proxy) {
@@ -383,10 +382,25 @@ void ShardedFleet::build_remote_dests() {
           const PollingEngine& engine =
               shards_[slice.shard].fleet->proxy(slice.local);
           if (!engine.relay_eligible(object)) continue;
-          shard.remote_dests[object].push_back({slice.shard, slice.local});
+          dests[object].push_back({static_cast<std::uint32_t>(proxy),
+                                   slice.shard, slice.local});
         }
       }
     }
+    // The slice fleet runs each remote attempt through its own send path;
+    // the sink only stamps the canonical-order key.  It runs inside the
+    // sending event, so the clock and schedule tag are the sender chain's
+    // — the same the reference's delivery event would have inherited.
+    shards_[s].fleet->set_remote_relays(
+        std::move(dests),
+        [this, s](const ProxyFleet::RelayDest& to, ObjectId object,
+                  TimePoint deliver_at, TimePoint snapshot,
+                  const std::shared_ptr<const Response>& response) {
+          Shard& shard = shards_[s];
+          shard.outbox[to.shard].push_back(
+              {deliver_at, shard.sim->now(), shard.sim->schedule_tag(),
+               shard.export_seq++, to.local, object, snapshot, response});
+        });
   }
 }
 
@@ -411,9 +425,7 @@ void ShardedFleet::build_send_watches() {
   std::vector<bool> marked(pairs_.size(), false);
   for (std::size_t i = 0; i < pairs_.size(); ++i) {
     pair_object[i] = table.find(pairs_[i].uri);
-    const Shard& home = shards_[pairs_[i].shard];
-    if (pair_object[i] < home.remote_dests.size() &&
-        !home.remote_dests[pair_object[i]].empty()) {
+    if (shards_[pairs_[i].shard].fleet->relays_remotely(pair_object[i])) {
       marked[pairs_[i].root] = true;
     }
   }
@@ -480,15 +492,6 @@ void ShardedFleet::start() {
     shard.fleet->start();
   }
   build_remote_dests();
-  if (config_.fleet.cooperative_push && shards_.size() > 1) {
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      shards_[s].fleet->set_relay_exporter(
-          [this, s](std::size_t from_global, const PollEvent& event,
-                    std::uint64_t round) {
-            export_relay(s, from_global, event, round);
-          });
-    }
-  }
   build_send_watches();
   pool_ = std::make_unique<ThreadPool>(config_.threads);
   started_ = true;
@@ -501,103 +504,6 @@ bool ShardedFleet::message_order(const Message& a, const Message& b) {
   if (a.sent_at != b.sent_at) return a.sent_at < b.sent_at;
   if (a.tag != b.tag) return a.tag < b.tag;
   return a.seq < b.seq;
-}
-
-void ShardedFleet::export_relay(std::size_t shard_index,
-                                std::size_t from_global,
-                                const PollEvent& event,
-                                std::uint64_t round) {
-  Shard& shard = shards_[shard_index];
-  if (event.object >= shard.remote_dests.size()) return;
-  const std::vector<RemoteDest>& dests = shard.remote_dests[event.object];
-  if (dests.empty()) return;
-  // One copy per message, shared across its destinations (the PollEvent's
-  // references die with this call; the history span must be detached from
-  // origin storage the object may outgrow before delivery).
-  auto response = std::make_shared<Response>(event.response);
-  response->meta.own_history();
-  if (config_.fleet.faults.any()) {
-    // Per-destination attempt chain: loss and jitter draw from the same
-    // counter-keyed streams the slice fleets (and the one-simulator
-    // reference) use, so the outcome per (object, src, dst, attempt) is
-    // layout-invariant by construction.
-    for (const RemoteDest& dest : dests) {
-      export_attempt(shard_index, from_global, dest, event.object,
-                     event.snapshot, response, round, 0);
-    }
-    return;
-  }
-  (void)from_global;
-  Message message;
-  message.sent_at = shard.sim->now();
-  message.deliver_at = message.sent_at + config_.fleet.relay_latency;
-  // The exporter runs inside the sender's poll event, so the simulator's
-  // schedule tag is the sender chain's — the same tag the reference's
-  // delivery event would have inherited.
-  message.tag = shard.sim->schedule_tag();
-  message.object = event.object;
-  message.snapshot = event.snapshot;
-  message.response = response;
-  for (const RemoteDest& dest : dests) {
-    message.seq = shard.export_seq++;
-    message.dest_local = dest.local;
-    shard.outbox[dest.shard].push_back(message);
-  }
-  shard.exported_sent += dests.size();
-}
-
-void ShardedFleet::export_attempt(std::size_t shard_index,
-                                  std::size_t from_global,
-                                  const RemoteDest& dest, ObjectId object,
-                                  TimePoint snapshot,
-                                  std::shared_ptr<const Response> response,
-                                  std::uint64_t round, std::size_t attempt) {
-  Shard& shard = shards_[shard_index];
-  const FaultSchedule& faults = config_.fleet.faults;
-  const std::size_t dst_global = shards_[dest.shard].proxies[dest.local];
-  ++shard.exported_sent;
-  if (attempt > 0) ++shard.exported_retried;
-  const std::uint64_t counter = faults.attempt_counter(round, attempt);
-  if (faults.relay_lost(object, from_global, dst_global, counter)) {
-    ++shard.exported_lost;
-    if (attempt >= faults.relay_retry_limit) return;  // abandoned
-    // The retry lives on the sender's shard simulator under the sender
-    // chain's schedule tag (schedule_after inherits it), exactly like the
-    // reference's retry event; its fire instant is a future cross-shard
-    // send, advertised through export_retries for the adaptive bound.
-    const Duration backoff = faults.retry_backoff(attempt);
-    const TimePoint fire = shard.sim->now() + backoff;
-    shard.export_retries.insert(fire);
-    const RemoteDest target = dest;
-    shard.sim->schedule_after(
-        backoff, [this, shard_index, from_global, target, object, snapshot,
-                  response = std::move(response), round, attempt,
-                  fire]() mutable {
-          Shard& home = shards_[shard_index];
-          home.export_retries.erase(home.export_retries.find(fire));
-          export_attempt(shard_index, from_global, target, object, snapshot,
-                         std::move(response), round, attempt + 1);
-        });
-    return;
-  }
-  Message message;
-  message.sent_at = shard.sim->now();
-  // Parenthesized to match the reference exactly: the slice fleet passes
-  // (latency + jitter) as one schedule_after delay, so the delivery
-  // instant is sent_at + (latency + jitter) down to the last ULP — the
-  // other association can differ in the low bits and desynchronize every
-  // event the delivery's apply_outcome timestamps downstream.
-  message.deliver_at =
-      message.sent_at +
-      (config_.fleet.relay_latency +
-       faults.relay_jitter(object, from_global, dst_global, counter));
-  message.tag = shard.sim->schedule_tag();
-  message.object = object;
-  message.snapshot = snapshot;
-  message.response = std::move(response);
-  message.seq = shard.export_seq++;
-  message.dest_local = dest.local;
-  shard.outbox[dest.shard].push_back(std::move(message));
 }
 
 void ShardedFleet::run_shard_window(std::size_t shard_index,
@@ -683,12 +589,12 @@ TimePoint ShardedFleet::shard_send_bound(const Shard& shard,
   //    fetches through to the origin inside the request event and relays
   //    out like any poll.  Candidate instants over-approximate requests
   //    (thinning may reject, the read may hit), which is conservative.
-  // Under fault injection three more sources join (see below): pending
-  // export-path retries (their fires ARE cross-shard sends), pending
-  // local relay retries (their deliveries can trigger watched δ-sibling
-  // exports before any timer the watch list sees), and crash/recovery
-  // transitions (a dark proxy's timers are stopped, so its next send is
-  // invisible until recovery re-arms them).
+  // Under fault injection two more sources join (see below): pending
+  // relay retries (a remote one's fire IS a cross-shard send; a local
+  // one's delivery can trigger watched δ-sibling sends before any timer
+  // the watch list sees), and crash/recovery transitions (a dark proxy's
+  // timers are stopped, so its next send is invisible until recovery
+  // re-arms them).
   // Trigger cascades are same-instant, so a bound over these instants
   // bounds every send.  The scan stops early once the running bound
   // reaches `cutoff` — the caller falls back to a fixed-width window
@@ -701,10 +607,6 @@ TimePoint ShardedFleet::shard_send_bound(const Shard& shard,
   if (bound <= cutoff) return bound;
   const FaultSchedule& faults = config_.fleet.faults;
   if (faults.any()) {
-    if (!shard.export_retries.empty()) {
-      bound = std::min(bound, *shard.export_retries.begin());
-      if (bound <= cutoff) return bound;
-    }
     bound = std::min(bound, shard.fleet->next_relay_retry());
     if (bound <= cutoff) return bound;
     if (faults.has_crashes()) {
@@ -865,7 +767,7 @@ std::size_t ShardedFleet::origin_polls() const {
 std::size_t ShardedFleet::relays_sent() const {
   std::size_t total = 0;
   for (const Shard& shard : shards_) {
-    total += shard.fleet->relays_sent() + shard.exported_sent;
+    total += shard.fleet->relays_sent();
   }
   return total;
 }
@@ -903,7 +805,7 @@ std::size_t ShardedFleet::relays_in_flight() const {
 std::size_t ShardedFleet::relays_lost() const {
   std::size_t total = 0;
   for (const Shard& shard : shards_) {
-    total += shard.fleet->relays_lost() + shard.exported_lost;
+    total += shard.fleet->relays_lost();
   }
   return total;
 }
@@ -911,7 +813,7 @@ std::size_t ShardedFleet::relays_lost() const {
 std::size_t ShardedFleet::relays_retried() const {
   std::size_t total = 0;
   for (const Shard& shard : shards_) {
-    total += shard.fleet->relays_retried() + shard.exported_retried;
+    total += shard.fleet->relays_retried();
   }
   return total;
 }

@@ -11,6 +11,10 @@
 // without ever seeing a message from its past.  Execution proceeds in
 // windows: run every shard to the window edge in parallel, barrier,
 // exchange the cross-shard relays through per-pair mailboxes, repeat.
+// A cross-shard relay is sent by the slice's own ProxyFleet relay path —
+// the one path every relay attempt takes, local or remote (count, loss,
+// backoff retry, jitter, delivery instant) — and handed to a sink that
+// only stamps the message's ordering key and posts it to the outbox.
 // Each edge is min(horizon, max(now + L, bound)), where bound is the
 // earliest instant any shard can next produce a cross-shard-visible
 // send: dense windows advance by one relay_latency step, idle stretches
@@ -66,7 +70,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -255,12 +258,6 @@ class ShardedFleet {
     std::shared_ptr<const Response> response;
   };
 
-  /// A remote relay destination, precomputed per (source shard, object).
-  struct RemoteDest {
-    std::uint32_t shard = 0;
-    std::uint32_t local = 0;  ///< local proxy index within `shard`
-  };
-
   struct Shard {
     std::unique_ptr<Simulator> sim;
     std::unique_ptr<OriginServer> origin;
@@ -270,24 +267,12 @@ class ShardedFleet {
     std::vector<Message> inbox;
     /// Messages produced this window, keyed by destination shard.
     std::vector<std::vector<Message>> outbox;
-    /// Remote destinations per object for relays leaving this shard,
-    /// ascending global proxy id.  Empty slot = no remote trackers.
-    std::vector<std::vector<RemoteDest>> remote_dests;
     /// Local (engine, object) pairs whose next own-schedule fire bounds
     /// this shard's next cross-shard-visible send — the export closure
     /// restricted to this shard (see build_send_watches).
     std::vector<std::pair<const PollingEngine*, ObjectId>> export_watch;
+    /// Per-source-shard send order of cross-shard messages.
     std::uint64_t export_seq = 0;
-    std::size_t exported_sent = 0;
-    /// Fire times of pending export-path relay retries (fault injection,
-    /// FleetConfig::faults).  A lost cross-shard attempt reschedules on
-    /// this shard's simulator; its fire is a future cross-shard send the
-    /// adaptive bound must not jump past.
-    std::multiset<TimePoint> export_retries;
-    /// Export-path fault ledger (same semantics as the ProxyFleet
-    /// counters: every attempt counts as a fresh send).
-    std::size_t exported_lost = 0;
-    std::size_t exported_retried = 0;
   };
 
   /// One engine slice of a global proxy.
@@ -316,18 +301,6 @@ class ShardedFleet {
   void build_partitioned_layout();
   void build_remote_dests();
   void build_send_watches();
-  void export_relay(std::size_t shard_index, std::size_t from_global,
-                    const PollEvent& event, std::uint64_t round);
-  /// One cross-shard send attempt under fault injection: draws loss and
-  /// jitter from the same counter-keyed streams the one-simulator
-  /// reference uses, reschedules itself on loss (sender-shard simulator,
-  /// capped exponential backoff), and enqueues the outbox message on
-  /// success.
-  void export_attempt(std::size_t shard_index, std::size_t from_global,
-                      const RemoteDest& dest, ObjectId object,
-                      TimePoint snapshot,
-                      std::shared_ptr<const Response> response,
-                      std::uint64_t round, std::size_t attempt);
   void run_shard_window(std::size_t shard_index, TimePoint window_end);
   void exchange_mailboxes();
   /// Earliest instant this shard can next produce a cross-shard-visible

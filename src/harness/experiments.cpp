@@ -292,6 +292,13 @@ FleetRunResult summarize_fleet(Fleet& fleet, std::size_t origin_requests,
       static_cast<double>(fleet.size()) * static_cast<double>(traces.size());
   result.mean_fidelity_time = sum_time / pairs;
   result.mean_fidelity_violations = sum_violations / pairs;
+  BROADWAY_CHECK_MSG(
+      result.relays_sent == result.relays_delivered +
+                                result.relays_in_flight + result.relays_lost,
+      "relay ledger out of balance at t=" << horizon << ": sent "
+          << result.relays_sent << " != delivered " << result.relays_delivered
+          << " + in flight " << result.relays_in_flight << " + lost "
+          << result.relays_lost);
   return result;
 }
 
@@ -357,17 +364,27 @@ ClientFleetRunResult run_fleet_client_temporal(
   };
 
   ClientFleetRunResult result;
-  // Origin load (O(1) counters) plus the per-record cause breakdown; the
-  // two must agree on the demand-fill split — callers pin
-  //   origin_load.origin_polls == policy_polls() + demand_fills
-  // against causes computed from the full record streams.  Client traffic
-  // pins every proxy to a single slice, so per-proxy log access is safe
-  // in the sharded branch too.
-  const auto summarize_load = [&result](auto& fleet) {
+  // Origin load (O(1) counters) plus the per-record cause breakdown.
+  // With full logs the two must agree on every run: origin_polls is the
+  // recounted refreshes and demand_fills the recounted client misses
+  // (truncated logs undercount, so the check needs retention 0).  Client
+  // traffic pins every proxy to a single slice, so per-proxy log access
+  // is safe in the sharded branch too.
+  const bool full_logs = config.fleet.base.poll_log_retention == 0;
+  const auto summarize_load = [&result, full_logs](auto& fleet) {
     result.origin_load = fleet.origin_load();
     for (std::size_t p = 0; p < fleet.size(); ++p) {
       result.causes.merge(count_by_cause(fleet.proxy(p).poll_log()));
     }
+    if (!full_logs) return;
+    BROADWAY_CHECK_MSG(
+        result.origin_load.origin_polls == result.causes.total_refreshes() &&
+            result.origin_load.demand_fills == result.causes.client_miss,
+        "origin ledger out of balance: origin_polls "
+            << result.origin_load.origin_polls << " != recounted "
+            << result.causes.total_refreshes() << " or demand_fills "
+            << result.origin_load.demand_fills << " != recounted "
+            << result.causes.client_miss);
   };
   if (config.threads <= 1) {
     Simulator sim;

@@ -212,6 +212,83 @@ TEST(FleetFaults, RelayLedgerBalancesAtEveryPauseAndLossesRetry) {
                 fleet.relays_lost());
 }
 
+// A schedule whose only crash window opens after the horizon is active
+// (any() is true, so every relay takes the fault branch of the send path:
+// fan-out rounds, loss and jitter draws, the δ-failover hook) but never
+// fires.  It must leave every poll log, TTR series and relay counter
+// byte-identical to a fault-free run, synchronous and latency-delayed:
+// the fault branch adds no behaviour of its own.
+TEST(FleetFaults, InertScheduleMatchesFaultFreeRun) {
+  const Duration horizon = 9000.0;
+  struct Run {
+    std::vector<std::vector<PollRecord>> logs;
+    std::vector<std::vector<std::pair<TimePoint, Duration>>> ttr_series;
+    std::vector<std::size_t> ledger;
+  };
+  const auto run = [horizon](Duration latency, const FaultSchedule& faults) {
+    Simulator sim;
+    OriginServer origin(sim);
+    FleetConfig config;
+    config.proxies = 3;
+    config.cooperative_push = true;
+    config.relay_latency = latency;
+    config.engine.rtt = 0.1;
+    config.engine.loss_probability = 0.05;
+    config.engine.retry_delay = 2.0;
+    config.faults = faults;
+    ProxyFleet fleet(sim, origin, config);
+    const auto factory = limd_factory(400.0, 1200.0);
+    std::vector<std::string> uris;
+    for (int i = 0; i < 4; ++i) {
+      uris.push_back("/obj/" + std::to_string(i));
+      origin.attach_update_trace(
+          uris.back(), irregular_trace(uris.back(), 2300 + i, horizon));
+      fleet.add_temporal_object_everywhere(uris.back(), factory);
+    }
+    fleet.add_delta_group({{0, uris[0]}, {1, uris[0]}}, 300.0);
+    fleet.start();
+    sim.run_until(horizon);
+    Run result;
+    for (std::size_t p = 0; p < fleet.size(); ++p) {
+      result.logs.push_back(fleet.proxy(p).poll_log().records());
+      for (const std::string& uri : uris) {
+        result.ttr_series.push_back(fleet.proxy(p).ttr_series(uri));
+      }
+    }
+    result.ledger = {fleet.relays_sent(),      fleet.relays_delivered(),
+                     fleet.relays_applied(),   fleet.relays_in_flight(),
+                     fleet.relays_lost(),      fleet.relays_retried(),
+                     fleet.relays_dropped_dark(), fleet.origin_polls()};
+    return result;
+  };
+  FaultSchedule inert;
+  inert.crashes.push_back({1, {{horizon + 100.0, horizon + 200.0}}});
+  ASSERT_TRUE(inert.any());
+  for (const Duration latency : {0.0, 0.7}) {
+    SCOPED_TRACE("relay_latency " + std::to_string(latency));
+    const Run clean = run(latency, FaultSchedule{});
+    const Run faulty = run(latency, inert);
+    EXPECT_GT(clean.ledger[2], 0u);  // relays were applied
+    EXPECT_EQ(clean.ledger, faulty.ledger);
+    EXPECT_EQ(clean.ttr_series, faulty.ttr_series);
+    ASSERT_EQ(clean.logs.size(), faulty.logs.size());
+    for (std::size_t p = 0; p < clean.logs.size(); ++p) {
+      SCOPED_TRACE("proxy " + std::to_string(p));
+      ASSERT_EQ(clean.logs[p].size(), faulty.logs[p].size());
+      for (std::size_t i = 0; i < clean.logs[p].size(); ++i) {
+        const PollRecord& a = clean.logs[p][i];
+        const PollRecord& b = faulty.logs[p][i];
+        EXPECT_EQ(a.uri, b.uri) << "record " << i;
+        EXPECT_EQ(a.cause, b.cause) << "record " << i;
+        EXPECT_EQ(a.modified, b.modified) << "record " << i;
+        EXPECT_EQ(a.failed, b.failed) << "record " << i;
+        EXPECT_EQ(a.snapshot_time, b.snapshot_time) << "record " << i;
+        EXPECT_EQ(a.complete_time, b.complete_time) << "record " << i;
+      }
+    }
+  }
+}
+
 // ---- crash / recovery ------------------------------------------------------
 
 // A crashed proxy polls nothing inside its window; recovery re-arms every

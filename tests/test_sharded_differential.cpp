@@ -526,12 +526,11 @@ TEST(ShardedDifferential, PartitionSweepIsByteIdentical) {
 // active at once, every artifact — per-proxy poll logs, TTR series, the
 // merged record stream, origin load, and the full fault ledger — must
 // reproduce byte-identically across thread counts and whole-proxy and
-// partitioned shard layouts.  The sweep is also the fault-heavy window
-// test: the window edge folds export-retry fire times, pending local
-// relay retries and crash/recovery transitions into its send bound, and
-// a missing fold would surface here as a delivery into an already-run
-// instant (advance_clock fails fast) or a log that diverges from the
-// reference.
+// partitioned shard layouts.  The window edge folds pending relay
+// retries and crash/recovery transitions into its send bound, but this
+// dense topology does not guard those folds: its polls keep every window
+// short, and with either term deleted the sweep still passes.
+// SparseLossyRetriesBoundTheWindow below guards the retry term.
 TEST(ShardedDifferential, FaultInjectionSweepIsByteIdentical) {
   const FaultSchedule faults = heavy_faults();
   const std::uint64_t seed = 23u;
@@ -586,6 +585,40 @@ TEST(ShardedDifferential, FaultInjectionSweepIsByteIdentical) {
                 fleet->relays_delivered() + fleet->relays_in_flight() +
                     fleet->relays_lost());
     }
+  }
+}
+
+// The window bound's retry term, pinned where nothing else bounds the
+// window: two proxies sharing one object (one shard each), half of all
+// relay attempts lost and retried up to six times.  Polls are minutes
+// apart, so after a lost attempt the pending retry is the shard's
+// earliest cross-shard send; an edge that ignored next_relay_retry()
+// would jump past it, and the retried relay would arrive at an instant
+// its destination has already run (advance_clock fails fast).
+TEST(ShardedDifferential, SparseLossyRetriesBoundTheWindow) {
+  const Topology topo = full_mesh_topology(2, 1);
+  FaultSchedule faults;
+  faults.relay_loss = 0.5;
+  faults.retry_backoff_base = 1.3;
+  faults.retry_backoff_cap = 11.0;
+  faults.relay_retry_limit = 6;
+  const Artifacts reference =
+      reference_run(topo, kHorizon, /*clients=*/false, faults);
+  ASSERT_GT(reference.relays_retried, 0u);
+  for (const std::size_t threads : kThreadCounts) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    auto fleet = make_sharded(topo, threads, /*shards=*/0,
+                              /*clients=*/false, faults);
+    fleet->start();
+    ASSERT_EQ(fleet->shard_count(), 2u);
+    fleet->run_until(kHorizon);
+    expect_records_identical(reference.merged, fleet->merged_poll_records());
+    EXPECT_EQ(reference.relays_sent, fleet->relays_sent());
+    EXPECT_EQ(reference.relays_delivered, fleet->relays_delivered());
+    EXPECT_EQ(reference.relays_applied, fleet->relays_applied());
+    EXPECT_EQ(reference.relays_in_flight, fleet->relays_in_flight());
+    EXPECT_EQ(reference.relays_lost, fleet->relays_lost());
+    EXPECT_EQ(reference.relays_retried, fleet->relays_retried());
   }
 }
 

@@ -17,6 +17,11 @@ between the two files and fails when any gated ratio worsened by more than
 ``--threshold`` (default 25%).  That catches "the poll pipeline got slower
 relative to the machine" without false-failing on a slower CI runner.
 
+Threaded benches (a ``threads:N`` argument with N >= 2) are gated only
+when both files record the same ``context.num_cpus``: the cost of waking
+workers on real cores is not normalised by the single-threaded
+calibration, so across core counts they are reported, not gated.
+
 The gate additionally fails when any ``BM_*`` benchmark in the current
 results has no baseline entry at all: a perf PR that adds benches must add
 calibration-coherent baseline entries with them, or the new benches would
@@ -26,6 +31,7 @@ for local experiments).
 
 import argparse
 import json
+import re
 import sys
 
 # A fixed batch of scrambled schedules drained through the simulator's
@@ -91,6 +97,16 @@ def load_times(path):
             float(bench["real_time"]) * UNIT_NS[bench.get("time_unit", "ns")]
         )
     return times
+
+
+def load_cpus(path):
+    with open(path) as f:
+        return json.load(f).get("context", {}).get("num_cpus")
+
+
+def threaded(name):
+    match = re.search(r"threads:(\d+)", name)
+    return match is not None and int(match.group(1)) >= 2
 
 
 def update_baseline(args, current, baseline):
@@ -185,6 +201,10 @@ def main():
                 print(f"  {name}")
             return 1
 
+    current_cpus = load_cpus(args.current)
+    baseline_cpus = load_cpus(args.baseline)
+    same_cores = current_cpus is not None and current_cpus == baseline_cpus
+
     failed = False
     improvements = 0
     print(f"calibration: {CALIBRATION}")
@@ -197,7 +217,12 @@ def main():
         cur_ratio = current[name] / current[CALIBRATION]
         change = cur_ratio / base_ratio - 1.0
         verdict = ""
-        if change > args.threshold:
+        if threaded(name) and not same_cores:
+            verdict = (
+                f"  not gated (cores: baseline {baseline_cpus}, "
+                f"current {current_cpus})"
+            )
+        elif change > args.threshold:
             verdict = "  <-- REGRESSION"
             failed = True
         elif change < -args.threshold:
