@@ -64,11 +64,15 @@ int main() {
   config.approach = MutualApproach::kHeuristic;
   const auto result = run_mutual_temporal(ap, reuters, config);
 
-  const auto extra_ap = polls_per_bucket(result.poll_log, bucket, horizon,
-                                         PollCause::kTriggered, ap.name());
-  const auto extra_reuters =
-      polls_per_bucket(result.poll_log, bucket, horizon,
-                       PollCause::kTriggered, reuters.name());
+  const auto extra_polls_of = [&](ObjectId object) {
+    std::vector<PollRecord> records;
+    for (const PollRecord& record : result.poll_log) {
+      if (record.object == object) records.push_back(record);
+    }
+    return polls_per_bucket(records, bucket, horizon, PollCause::kTriggered);
+  };
+  const auto extra_ap = extra_polls_of(result.object_a);
+  const auto extra_reuters = extra_polls_of(result.object_b);
   TextTable extra_table;
   extra_table.set_header(
       {"window", "extra polls of AP (faster)", "extra polls of Reuters"});

@@ -206,65 +206,44 @@ void BM_TemporalFidelityEvaluation(benchmark::State& state) {
 BENCHMARK(BM_TemporalFidelityEvaluation);
 
 // A poll log as a harness sweep produces it: `objects` uris polled
-// round-robin, 200 records each.
-PollLog make_poll_log(std::size_t objects, std::vector<std::string>& uris) {
-  PollLog log;
-  uris.clear();
+// round-robin, 200 records each, appended by id as the engine does.
+PollLog make_poll_log(UriTable& table, std::size_t objects,
+                      std::vector<ObjectId>& ids) {
+  PollLog log(table);
+  ids.clear();
   for (std::size_t i = 0; i < objects; ++i) {
-    uris.push_back("/object/" + std::to_string(i));
+    ids.push_back(table.intern("/object/" + std::to_string(i)));
   }
   TimePoint t = 0.0;
   for (std::size_t round = 0; round < 200; ++round) {
-    for (const std::string& uri : uris) {
-      PollRecord record;
-      record.snapshot_time = t;
-      record.complete_time = t;
-      record.uri = uri;
-      record.cause = round == 0 ? PollCause::kInitial : PollCause::kScheduled;
-      record.modified = (round % 3) == 0;
-      log.append(std::move(record));
+    for (const ObjectId id : ids) {
+      log.append(id, round == 0 ? PollCause::kInitial : PollCause::kScheduled,
+                 /*modified=*/(round % 3) == 0, /*failed=*/false, t, t);
       t += 1.0;
     }
   }
   return log;
 }
 
-// Per-object metric extraction through the per-uri index (what the engine
-// accessors and the PollLog successful_polls overload do).
+// Per-object metric extraction through the per-object index, by id (what
+// the engine accessors do once they have resolved the uri).
 void BM_PollLogIndexedQueries(benchmark::State& state) {
-  std::vector<std::string> uris;
+  UriTable table;
+  std::vector<ObjectId> ids;
   const PollLog log = make_poll_log(
-      static_cast<std::size_t>(state.range(0)), uris);
+      table, static_cast<std::size_t>(state.range(0)), ids);
   for (auto _ : state) {
     std::size_t total = 0;
-    for (const std::string& uri : uris) {
-      total += log.polls_performed(uri);
-      total += successful_polls(log, uri).size();
+    for (const ObjectId id : ids) {
+      total += log.polls_performed(id);
+      total += log.completion_times(id).size();
     }
     benchmark::DoNotOptimize(total);
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(uris.size()));
+                          static_cast<int64_t>(ids.size()));
 }
 BENCHMARK(BM_PollLogIndexedQueries)->Arg(16)->Arg(256);
-
-// The same extraction by scanning the whole record vector once per object
-// (the pre-index behaviour) — goes quadratic as objects grow.
-void BM_PollLogScanQueries(benchmark::State& state) {
-  std::vector<std::string> uris;
-  const PollLog log = make_poll_log(
-      static_cast<std::size_t>(state.range(0)), uris);
-  for (auto _ : state) {
-    std::size_t total = 0;
-    for (const std::string& uri : uris) {
-      total += successful_polls(log.records(), uri).size();
-    }
-    benchmark::DoNotOptimize(total);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(uris.size()));
-}
-BENCHMARK(BM_PollLogScanQueries)->Arg(16)->Arg(256);
 
 // ---- end-to-end engine sweeps ---------------------------------------------
 //

@@ -223,21 +223,14 @@ void ShardedFleet::build_shards() {
   for (std::size_t i = 0; i < pairs_.size(); ++i) {
     pairs_[i].root = pair_components.find(i);
   }
-  // Per-proxy registration ranks for merge_slice_logs: pairs_ is in
-  // registration-scan order, so the per-proxy subsequence is the order
-  // the reference engine registered — and therefore started — the
-  // proxy's objects.
-  reg_rank_.assign(proxy_count_, {});
-  for (const PairInfo& pair : pairs_) {
-    auto& ranks = reg_rank_[pair.proxy];
-    ranks.try_emplace(pair.uri, ranks.size());
-  }
 
   // ---- shard layout ----
   // A proxy lives wherever its pairs land, so one without pairs has no
   // slice to host it.
+  std::vector<bool> hosted(proxy_count_, false);
+  for (const PairInfo& pair : pairs_) hosted[pair.proxy] = true;
   for (std::size_t proxy = 0; proxy < proxy_count_; ++proxy) {
-    BROADWAY_CHECK_MSG(!reg_rank_[proxy].empty(),
+    BROADWAY_CHECK_MSG(hosted[proxy],
                        "proxy " << proxy
                                 << " has no registered objects, so no "
                                    "slice could host it");
@@ -479,6 +472,18 @@ void ShardedFleet::start() {
                              << id << ": " << replica.uri(id) << " vs "
                              << reference.uri(id));
     }
+  }
+
+  // Per-proxy registration ranks for merge_slice_logs, indexed by the
+  // ids every replica now agrees on: pairs_ is in registration-scan
+  // order, so the per-proxy subsequence is the order the reference
+  // engine registered — and therefore started — the proxy's objects.
+  reg_rank_.assign(proxy_count_,
+                   std::vector<std::size_t>(reference.size(), SIZE_MAX));
+  std::vector<std::size_t> registered(proxy_count_, 0);
+  for (const PairInfo& pair : pairs_) {
+    reg_rank_[pair.proxy][reference.find(pair.uri)] =
+        registered[pair.proxy]++;
   }
 
   // Seal the tables: from here on the poll pipeline only looks uris up,
@@ -746,6 +751,11 @@ const OriginServer& ShardedFleet::origin_for_proxy(std::size_t proxy) const {
   return *shards_[sole_slice(proxy).shard].origin;
 }
 
+const UriTable& ShardedFleet::uri_table() const {
+  BROADWAY_CHECK_MSG(started_, "uri_table() before start()");
+  return shards_[0].origin->uri_table();
+}
+
 // ---- accounting ------------------------------------------------------------
 
 std::size_t ShardedFleet::origin_requests() const {
@@ -895,9 +905,9 @@ std::vector<PollRecord> ShardedFleet::merge_slice_logs(
     cursors.push_back({&records, 0});
     total += records.size();
   }
-  const std::map<std::string, std::size_t>& ranks = reg_rank_[proxy];
+  const std::vector<std::size_t>& ranks = reg_rank_[proxy];
   const auto rank_of = [&ranks](const PollRecord& record) {
-    return ranks.at(record.uri);
+    return ranks[record.object];
   };
   std::vector<PollRecord> merged;
   merged.reserve(total);

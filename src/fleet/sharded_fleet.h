@@ -68,9 +68,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fleet/proxy_fleet.h"
@@ -183,6 +183,9 @@ class ShardedFleet {
   const PollingEngine& proxy(std::size_t proxy) const;
   /// The origin replica serving global proxy `proxy`.
   const OriginServer& origin_for_proxy(std::size_t proxy) const;
+  /// The intern table of every replica (identical by start()'s CHECK):
+  /// resolves the ObjectIds of merged_poll_records() to uris.
+  const UriTable& uri_table() const;
 
   // ---- accounting (deterministic merges over the shards) ----
 
@@ -332,11 +335,12 @@ class ShardedFleet {
     std::size_t shard = 0;  // hosting shard
   };
   std::vector<PairInfo> pairs_;
-  // Per-proxy registration ranks (uri -> position in the proxy's
-  // registration order): the cross-slice tie-break merge_slice_logs uses
-  // to replay the reference's same-instant record order for pairs that
-  // were allowed to split (see the colocation rules in build_shards).
-  std::vector<std::map<std::string, std::size_t>> reg_rank_;
+  // Per-proxy registration ranks (ObjectId -> position in the proxy's
+  // registration order, SIZE_MAX for objects it does not track): the
+  // cross-slice tie-break merge_slice_logs uses to replay the reference's
+  // same-instant record order for pairs that were allowed to split (see
+  // the colocation rules in build_shards).
+  std::vector<std::vector<std::size_t>> reg_rank_;
   std::vector<double> window_costs_;  // per-shard hints, reused
   std::unique_ptr<ThreadPool> pool_;
 };

@@ -51,6 +51,27 @@ Duration scenario_horizon(const ScenarioBase& scenario,
   return horizon;
 }
 
+/// The origin ledger of a run with full poll logs: the logs' O(1)
+/// counters must equal a per-record recount by cause — origin_polls the
+/// recounted refreshes, demand_fills the recounted client misses.
+/// Truncated logs undercount, so callers check only full ones.
+void check_origin_ledger(const FleetOriginLoad& load,
+                         const PollCauseCounts& causes) {
+  BROADWAY_CHECK_MSG(
+      load.origin_polls == causes.total_refreshes() &&
+          load.demand_fills == causes.client_miss,
+      "origin ledger out of balance: origin_polls "
+          << load.origin_polls << " != recounted "
+          << causes.total_refreshes() << " or demand_fills "
+          << load.demand_fills << " != recounted " << causes.client_miss);
+}
+
+/// check_origin_ledger for one engine's log, when nothing was evicted.
+void check_origin_ledger(const PollLog& log) {
+  if (log.dropped_records() != 0) return;
+  check_origin_ledger(fleet_origin_load({&log}), count_by_cause(log));
+}
+
 TemporalRunResult run_temporal(const UpdateTrace& trace,
                                std::unique_ptr<RefreshPolicy> policy,
                                Duration delta,
@@ -67,6 +88,8 @@ TemporalRunResult run_temporal(const UpdateTrace& trace,
   const Duration horizon =
       scenario.duration > 0.0 ? scenario.duration : trace.duration();
   sim.run_until(horizon);
+
+  check_origin_ledger(engine.poll_log());
 
   TemporalRunResult result;
   result.polls = engine.polls_performed(trace.name());
@@ -140,6 +163,8 @@ MutualTemporalRunResult run_mutual_temporal(
   engine.start();
   sim.run_until(run_horizon);
 
+  check_origin_ledger(engine.poll_log());
+
   MutualTemporalRunResult result;
   result.polls = engine.polls_performed();
   result.triggered = engine.triggered_polls();
@@ -152,6 +177,8 @@ MutualTemporalRunResult run_mutual_temporal(
   result.individual_b = evaluate_temporal_fidelity(trace_b, polls_b,
                                                    config.base.delta, horizon);
   result.poll_log = engine.poll_log().records();
+  result.object_a = origin.uri_table().find(trace_a.name());
+  result.object_b = origin.uri_table().find(trace_b.name());
   return result;
 }
 
@@ -174,6 +201,8 @@ ValueRunResult run_value_individual(const ValueTrace& trace,
       config.duration > 0.0 ? std::min(config.duration, trace.duration())
                             : trace.duration();
   sim.run_until(horizon);
+
+  check_origin_ledger(engine.poll_log());
 
   ValueRunResult result;
   result.polls = engine.polls_performed(trace.name());
@@ -225,6 +254,8 @@ MutualValueRunResult run_mutual_value(const ValueTrace& trace_a,
       config.duration > 0.0 ? std::min(config.duration, covered) : covered;
   engine.start();
   sim.run_until(horizon);
+
+  check_origin_ledger(engine.poll_log());
 
   MutualValueRunResult result;
   result.polls = engine.polls_performed();
@@ -364,27 +395,17 @@ ClientFleetRunResult run_fleet_client_temporal(
   };
 
   ClientFleetRunResult result;
-  // Origin load (O(1) counters) plus the per-record cause breakdown.
-  // With full logs the two must agree on every run: origin_polls is the
-  // recounted refreshes and demand_fills the recounted client misses
-  // (truncated logs undercount, so the check needs retention 0).  Client
-  // traffic pins every proxy to a single slice, so per-proxy log access
-  // is safe in the sharded branch too.
+  // Origin load (O(1) counters) plus the per-record cause breakdown,
+  // checked against each other on full logs.  Client traffic pins every
+  // proxy to a single slice, so per-proxy log access is safe in the
+  // sharded branch too.
   const bool full_logs = config.fleet.base.poll_log_retention == 0;
   const auto summarize_load = [&result, full_logs](auto& fleet) {
     result.origin_load = fleet.origin_load();
     for (std::size_t p = 0; p < fleet.size(); ++p) {
       result.causes.merge(count_by_cause(fleet.proxy(p).poll_log()));
     }
-    if (!full_logs) return;
-    BROADWAY_CHECK_MSG(
-        result.origin_load.origin_polls == result.causes.total_refreshes() &&
-            result.origin_load.demand_fills == result.causes.client_miss,
-        "origin ledger out of balance: origin_polls "
-            << result.origin_load.origin_polls << " != recounted "
-            << result.causes.total_refreshes() << " or demand_fills "
-            << result.origin_load.demand_fills << " != recounted "
-            << result.causes.client_miss);
+    if (full_logs) check_origin_ledger(result.origin_load, result.causes);
   };
   if (config.threads <= 1) {
     Simulator sim;

@@ -117,8 +117,11 @@ struct MutualTemporalRunResult {
   /// Per-object Δt fidelity (the mechanisms compose, §2).
   TemporalFidelityReport individual_a;
   TemporalFidelityReport individual_b;
-  /// Full poll log (Fig. 6(b) buckets triggered polls over time).
+  /// Full poll log (Fig. 6(b) buckets triggered polls over time), and
+  /// the ids its records carry for trace_a and trace_b.
   std::vector<PollRecord> poll_log;
+  ObjectId object_a = kInvalidObjectId;
+  ObjectId object_b = kInvalidObjectId;
 };
 
 MutualTemporalRunResult run_mutual_temporal(

@@ -90,8 +90,7 @@ std::vector<PollRecord> merge_poll_records(
 
 std::vector<std::size_t> polls_per_bucket(const std::vector<PollRecord>& log,
                                           Duration bucket, Duration horizon,
-                                          std::optional<PollCause> cause,
-                                          const std::string& uri) {
+                                          std::optional<PollCause> cause) {
   BROADWAY_CHECK_MSG(bucket > 0.0 && horizon > 0.0,
                      "bucket " << bucket << " horizon " << horizon);
   const std::size_t buckets =
@@ -100,7 +99,6 @@ std::vector<std::size_t> polls_per_bucket(const std::vector<PollRecord>& log,
   for (const PollRecord& record : log) {
     if (record.failed) continue;
     if (cause && record.cause != *cause) continue;
-    if (!uri.empty() && record.uri != uri) continue;
     if (record.complete_time >= horizon) continue;
     const std::size_t i =
         std::min(buckets - 1,
@@ -115,26 +113,17 @@ std::vector<std::size_t> polls_per_bucket(const PollLog& log,
                                           std::optional<PollCause> cause,
                                           const std::string& uri) {
   if (uri.empty()) {
-    return polls_per_bucket(log.records(), bucket, horizon, cause, uri);
+    return polls_per_bucket(log.records(), bucket, horizon, cause);
   }
-  // Per-object query: walk the log's per-object successful-record index
-  // (exactly the non-failed records of `uri`) instead of scanning every
-  // object's records.
-  BROADWAY_CHECK_MSG(bucket > 0.0 && horizon > 0.0,
-                     "bucket " << bucket << " horizon " << horizon);
-  const std::size_t buckets =
-      static_cast<std::size_t>(std::ceil(horizon / bucket));
-  std::vector<std::size_t> counts(buckets, 0);
-  for (const std::size_t index : log.successful_records(uri)) {
-    const PollRecord& record = log[index];
-    if (cause && record.cause != *cause) continue;
-    if (record.complete_time >= horizon) continue;
-    const std::size_t i =
-        std::min(buckets - 1,
-                 static_cast<std::size_t>(record.complete_time / bucket));
-    ++counts[i];
+  // Per-object query: the log's per-object successful-record index holds
+  // exactly the non-failed records of `uri`, so no other object's
+  // records are scanned.
+  std::vector<PollRecord> records;
+  for (const std::size_t index :
+       log.successful_records(log.uri_table().find(uri))) {
+    records.push_back(log[index]);
   }
-  return counts;
+  return polls_per_bucket(records, bucket, horizon, cause);
 }
 
 }  // namespace broadway

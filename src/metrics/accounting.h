@@ -115,12 +115,13 @@ std::vector<PollRecord> merge_poll_records(
     std::vector<ProxyPollRecords> logs);
 
 /// Successful polls per time bucket over [0, horizon), optionally filtered
-/// by cause and/or uri (empty = all).  The Fig. 6(b) series is
+/// by cause.  The Fig. 6(b) series is
 /// polls_per_bucket(log, 2h, horizon, PollCause::kTriggered).
 std::vector<std::size_t> polls_per_bucket(
     const std::vector<PollRecord>& log, Duration bucket, Duration horizon,
-    std::optional<PollCause> cause = std::nullopt,
-    const std::string& uri = "");
+    std::optional<PollCause> cause = std::nullopt);
+/// The same series from an indexed log; a non-empty `uri` restricts it to
+/// that object through the log's per-object index.
 std::vector<std::size_t> polls_per_bucket(
     const PollLog& log, Duration bucket, Duration horizon,
     std::optional<PollCause> cause = std::nullopt,

@@ -6,19 +6,10 @@
 
 namespace broadway {
 
-std::vector<PollInstant> successful_polls(const std::vector<PollRecord>& log,
-                                          const std::string& uri) {
-  std::vector<PollInstant> out;
-  for (const PollRecord& record : log) {
-    if (record.failed || record.uri != uri) continue;
-    out.push_back(PollInstant{record.snapshot_time, record.complete_time});
-  }
-  return out;
-}
-
 std::vector<PollInstant> successful_polls(const PollLog& log,
                                           const std::string& uri) {
-  const std::vector<std::size_t>& indices = log.successful_records(uri);
+  const std::vector<std::size_t>& indices =
+      log.successful_records(log.uri_table().find(uri));
   std::vector<PollInstant> out;
   out.reserve(indices.size());
   for (const std::size_t i : indices) {

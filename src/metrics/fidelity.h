@@ -29,13 +29,9 @@ struct PollInstant {
   TimePoint complete = 0.0;
 };
 
-/// Extract the successful polls of `uri` from a record vector, ascending.
-/// O(total records); prefer the PollLog overload for engine logs.
-std::vector<PollInstant> successful_polls(const std::vector<PollRecord>& log,
-                                          const std::string& uri);
-
-/// Extract the successful polls of `uri` through the log's per-uri index —
-/// O(records-for-uri) instead of a scan of every object's records.
+/// Extract the successful polls of `uri`, ascending, through the log's
+/// per-object index: O(records-for-uri), never a scan of other objects'
+/// records.  Empty for a uri the log never saw.
 std::vector<PollInstant> successful_polls(const PollLog& log,
                                           const std::string& uri);
 

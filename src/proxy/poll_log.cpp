@@ -13,11 +13,6 @@ const std::vector<std::size_t> kNoRecords;
 constexpr std::size_t kMinCompactSlack = 64;
 }  // namespace
 
-PollLog::PollLog()
-    : owned_table_(std::make_unique<UriTable>()), table_(owned_table_.get()) {}
-
-PollLog::PollLog(UriTable& table) : table_(&table) {}
-
 PollLog::UriIndex& PollLog::index_for(ObjectId object) {
   if (by_id_.size() <= object) by_id_.resize(object + 1);
   return by_id_[object];
@@ -52,43 +47,13 @@ void PollLog::count(UriIndex& index, const PollRecord& record) {
   }
 }
 
-void PollLog::append(PollRecord record) {
-  if (record.object == kInvalidObjectId) {
-    record.object = table_->intern(record.uri);
-  }
-  if (record.uri.empty()) {
-    record.uri = table_->uri(record.object);
-  }
-  count(index_for(record.object), record);
-  records_.push_back(std::move(record));
-  maybe_compact();
-}
-
 void PollLog::append(ObjectId object, PollCause cause, bool modified,
                      bool failed, TimePoint snapshot, TimePoint complete) {
-  PollRecord record;
-  record.snapshot_time = snapshot;
-  record.complete_time = complete;
-  record.uri = table_->uri(object);
-  record.object = object;
-  record.cause = cause;
-  record.modified = modified;
-  record.failed = failed;
+  const PollRecord record{snapshot, complete, object, cause, modified,
+                          failed};
   count(index_for(object), record);
-  records_.push_back(std::move(record));
+  records_.push_back(record);
   maybe_compact();
-}
-
-const PollLog::UriIndex* PollLog::find(const std::string& uri) const {
-  const ObjectId id = table_->find(uri);
-  if (id == kInvalidObjectId || id >= by_id_.size()) return nullptr;
-  return &by_id_[id];
-}
-
-const std::vector<std::size_t>& PollLog::successful_records(
-    const std::string& uri) const {
-  const UriIndex* index = find(uri);
-  return index == nullptr ? kNoRecords : index->successful;
 }
 
 const std::vector<std::size_t>& PollLog::successful_records(
@@ -96,57 +61,13 @@ const std::vector<std::size_t>& PollLog::successful_records(
   return object < by_id_.size() ? by_id_[object].successful : kNoRecords;
 }
 
-std::vector<TimePoint> PollLog::completion_times(
-    const std::string& uri) const {
-  const std::vector<std::size_t>& indices = successful_records(uri);
+std::vector<TimePoint> PollLog::times_of(ObjectId object,
+                                         TimePoint PollRecord::*field) const {
+  const std::vector<std::size_t>& indices = successful_records(object);
   std::vector<TimePoint> out;
   out.reserve(indices.size());
-  for (const std::size_t i : indices) {
-    out.push_back(records_[i].complete_time);
-  }
+  for (const std::size_t i : indices) out.push_back(records_[i].*field);
   return out;
-}
-
-std::vector<TimePoint> PollLog::snapshot_times(const std::string& uri) const {
-  const std::vector<std::size_t>& indices = successful_records(uri);
-  std::vector<TimePoint> out;
-  out.reserve(indices.size());
-  for (const std::size_t i : indices) {
-    out.push_back(records_[i].snapshot_time);
-  }
-  return out;
-}
-
-std::size_t PollLog::polls_performed(const std::string& uri) const {
-  if (uri.empty()) return performed_total_;
-  const UriIndex* index = find(uri);
-  return index == nullptr ? 0 : index->performed;
-}
-
-std::size_t PollLog::polls_performed(ObjectId object) const {
-  return object < by_id_.size() ? by_id_[object].performed : 0;
-}
-
-std::size_t PollLog::triggered_polls(const std::string& uri) const {
-  if (uri.empty()) return triggered_total_;
-  const UriIndex* index = find(uri);
-  return index == nullptr ? 0 : index->triggered;
-}
-
-std::size_t PollLog::relay_refreshes(const std::string& uri) const {
-  if (uri.empty()) return relay_total_;
-  const UriIndex* index = find(uri);
-  return index == nullptr ? 0 : index->relays;
-}
-
-std::size_t PollLog::demand_fills(const std::string& uri) const {
-  if (uri.empty()) return demand_total_;
-  const UriIndex* index = find(uri);
-  return index == nullptr ? 0 : index->demand;
-}
-
-std::size_t PollLog::demand_fills(ObjectId object) const {
-  return object < by_id_.size() ? by_id_[object].demand : 0;
 }
 
 void PollLog::set_retention_window(std::size_t window) {

@@ -10,10 +10,10 @@
 // from O(total-polls) scans of the global log into O(records-for-object)
 // and O(1) lookups respectively.
 //
-// Records and the index are keyed by interned ObjectId (the engine appends
-// by id — no hashing, no string copies on the hot path beyond the record's
-// human-readable uri field); string-uri queries translate through the
-// table.
+// Records, the index and every query are keyed by interned ObjectId: the
+// engine appends by id, so the hot path neither hashes nor copies a
+// string.  Callers that hold a uri resolve it once through uri_table()
+// (PollingEngine's string accessors do exactly that).
 //
 // Long-horizon runs can cap memory with a retention window
 // (set_retention_window): each object keeps only its newest W records,
@@ -22,8 +22,6 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -33,20 +31,19 @@
 
 namespace broadway {
 
-/// One completed (or failed) poll.
+/// One completed (or failed) poll.  The polled object is its interned
+/// id; the log's uri_table() maps it back to the uri.
 struct PollRecord {
   /// Server-state instant the response reflects (fire time).
   TimePoint snapshot_time = 0.0;
   /// Instant the refreshed copy became visible at the proxy.
   TimePoint complete_time = 0.0;
-  std::string uri;
-  /// Interned id of `uri`; filled by PollLog::append when defaulted.
   ObjectId object = kInvalidObjectId;
   PollCause cause = PollCause::kScheduled;
   /// True when the server answered 200.
   bool modified = false;
-  /// True when the poll was lost (no other fields beyond uri/cause/time
-  /// are meaningful).
+  /// True when the poll was lost (no other fields beyond
+  /// object/cause/time are meaningful).
   bool failed = false;
 };
 
@@ -56,26 +53,17 @@ struct PollRecord {
 /// other objects' records.
 class PollLog {
  public:
-  /// Standalone log with its own intern table (tests, benches).
-  PollLog();
-
-  /// Log sharing an external table (a polling engine shares its
+  /// Log resolving ids through `table` (a polling engine shares its
   /// origin's).  `table` must outlive the log.
-  explicit PollLog(UriTable& table);
+  explicit PollLog(const UriTable& table) : table_(&table) {}
 
   PollLog(const PollLog&) = delete;
   PollLog& operator=(const PollLog&) = delete;
-  // Moves are safe: an owned table lives on the heap, so table_ stays
-  // valid across the transfer.
   PollLog(PollLog&&) = default;
   PollLog& operator=(PollLog&&) = default;
 
-  /// Append one record, updating the per-object index and the counters.
-  /// Interns record.uri when record.object is defaulted; fills record.uri
-  /// from the table when only the id is set.
-  void append(PollRecord record);
-
-  /// Hot-path append by interned id: no hashing, no lookup.
+  /// Append one record of `object`, updating the per-object index and the
+  /// counters.  No hashing, no lookup.
   void append(ObjectId object, PollCause cause, bool modified, bool failed,
               TimePoint snapshot, TimePoint complete);
 
@@ -99,45 +87,57 @@ class PollLog {
 
   // ---- per-object indexed queries ----
 
-  /// Indices (into records()) of the successful polls of `uri`, ascending.
-  /// Empty for a uri that was never polled.
-  const std::vector<std::size_t>& successful_records(
-      const std::string& uri) const;
+  /// Indices (into records()) of the successful polls of `object`,
+  /// ascending.  Empty for an object that was never polled (including
+  /// kInvalidObjectId).
   const std::vector<std::size_t>& successful_records(ObjectId object) const;
 
-  /// Completion instants of successful polls of `uri`, ascending,
+  /// Completion instants of successful polls of `object`, ascending,
   /// including the initial fetch.
-  std::vector<TimePoint> completion_times(const std::string& uri) const;
+  std::vector<TimePoint> completion_times(ObjectId object) const {
+    return times_of(object, &PollRecord::complete_time);
+  }
 
-  /// Snapshot instants of successful polls of `uri` (same indexing as
+  /// Snapshot instants of successful polls of `object` (same indexing as
   /// completion_times).
-  std::vector<TimePoint> snapshot_times(const std::string& uri) const;
+  std::vector<TimePoint> snapshot_times(ObjectId object) const {
+    return times_of(object, &PollRecord::snapshot_time);
+  }
 
   // ---- O(1) counters (exact even under a retention window) ----
+  // The zero-argument forms total all objects; the ObjectId forms count
+  // one object (0 for one never polled).
 
   /// Successful polls excluding initial fetches — the paper's "number of
-  /// polls" metric.  Empty uri = all objects.  Relay refreshes (PollCause::
-  /// kRelay) are *not* counted: they refresh the cached copy without an
-  /// origin message, so they are not polls in the paper's sense.
-  std::size_t polls_performed(const std::string& uri = "") const;
-  std::size_t polls_performed(ObjectId object) const;
+  /// polls" metric.  Relay refreshes (PollCause::kRelay) are *not*
+  /// counted: they refresh the cached copy without an origin message, so
+  /// they are not polls in the paper's sense.
+  std::size_t polls_performed() const { return performed_total_; }
+  std::size_t polls_performed(ObjectId object) const {
+    return count_of(object, &UriIndex::performed);
+  }
 
-  /// Successful triggered polls (the mutual-consistency overhead).  Empty
-  /// uri = all objects.
-  std::size_t triggered_polls(const std::string& uri = "") const;
+  /// Successful triggered polls (the mutual-consistency overhead).
+  std::size_t triggered_polls() const { return triggered_total_; }
+  std::size_t triggered_polls(ObjectId object) const {
+    return count_of(object, &UriIndex::triggered);
+  }
 
   /// Refreshes applied from sibling-proxy relays (cooperative push).
-  /// Empty uri = all objects.
-  std::size_t relay_refreshes(const std::string& uri = "") const;
+  std::size_t relay_refreshes() const { return relay_total_; }
+  std::size_t relay_refreshes(ObjectId object) const {
+    return count_of(object, &UriIndex::relays);
+  }
 
   /// Successful demand fills (PollCause::kClientMiss): origin fetches
   /// triggered by a client read that missed the cache.  A subset of
   /// polls_performed() — demand fills are real origin polls — split out
   /// so accounting can separate policy-driven polls from demand-driven
-  /// ones (`polls_performed == policy polls + demand_fills`).  Empty uri
-  /// = all objects.
-  std::size_t demand_fills(const std::string& uri = "") const;
-  std::size_t demand_fills(ObjectId object) const;
+  /// ones (`polls_performed == policy polls + demand_fills`).
+  std::size_t demand_fills() const { return demand_total_; }
+  std::size_t demand_fills(ObjectId object) const {
+    return count_of(object, &UriIndex::demand);
+  }
 
   /// Successful initial fetches, all objects.
   std::size_t initial_polls() const { return initial_total_; }
@@ -179,15 +179,19 @@ class PollLog {
     std::size_t live = 0;                 ///< records currently retained
   };
 
-  /// nullptr when the object has no records.
-  const UriIndex* find(const std::string& uri) const;
+  /// One per-object counter; 0 for an object that has no records.
+  std::size_t count_of(ObjectId object, std::size_t UriIndex::*counter) const {
+    return object < by_id_.size() ? by_id_[object].*counter : 0;
+  }
+  /// One field of the object's successful records, in record order.
+  std::vector<TimePoint> times_of(ObjectId object,
+                                  TimePoint PollRecord::*field) const;
   UriIndex& index_for(ObjectId object);
 
   void count(UriIndex& index, const PollRecord& record);
   void maybe_compact();
 
-  std::unique_ptr<UriTable> owned_table_;  // null when sharing
-  UriTable* table_;
+  const UriTable* table_;
   std::vector<PollRecord> records_;
   std::vector<UriIndex> by_id_;
   std::size_t performed_total_ = 0;

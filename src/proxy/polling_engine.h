@@ -318,39 +318,47 @@ class PollingEngine {
     poll_log_.set_retention_window(window);
   }
 
+  // The string accessors below resolve `uri` once through the shared
+  // table and ask the log by id; an unknown uri reads as never polled.
+
   /// Completion instants of successful polls of `uri`, ascending,
   /// including the initial fetch.
   std::vector<TimePoint> poll_completion_times(const std::string& uri) const {
-    return poll_log_.completion_times(uri);
+    return poll_log_.completion_times(uris_.find(uri));
   }
 
   /// Snapshot instants of successful polls of `uri` (same indexing as
   /// poll_completion_times).
   std::vector<TimePoint> poll_snapshot_times(const std::string& uri) const {
-    return poll_log_.snapshot_times(uri);
+    return poll_log_.snapshot_times(uris_.find(uri));
   }
 
   /// Successful polls excluding initial fetches — the paper's "number of
   /// polls" metric.  Empty uri = all objects.  O(1).
   std::size_t polls_performed(const std::string& uri = "") const {
-    return poll_log_.polls_performed(uri);
+    return uri.empty() ? poll_log_.polls_performed()
+                       : poll_log_.polls_performed(uris_.find(uri));
   }
 
-  /// Triggered polls only (the mutual-consistency overhead).  O(1).
+  /// Triggered polls only (the mutual-consistency overhead).  Empty uri =
+  /// all objects.  O(1).
   std::size_t triggered_polls(const std::string& uri = "") const {
-    return poll_log_.triggered_polls(uri);
+    return uri.empty() ? poll_log_.triggered_polls()
+                       : poll_log_.triggered_polls(uris_.find(uri));
   }
 
   /// Refreshes applied from sibling-proxy relays.  Empty uri = all
   /// objects.  O(1).
   std::size_t relay_refreshes(const std::string& uri = "") const {
-    return poll_log_.relay_refreshes(uri);
+    return uri.empty() ? poll_log_.relay_refreshes()
+                       : poll_log_.relay_refreshes(uris_.find(uri));
   }
 
   /// Successful demand fills (client misses fetched through to the
   /// origin).  Empty uri = all objects.  O(1).
   std::size_t demand_fills(const std::string& uri = "") const {
-    return poll_log_.demand_fills(uri);
+    return uri.empty() ? poll_log_.demand_fills()
+                       : poll_log_.demand_fills(uris_.find(uri));
   }
 
   /// Failed (lost) poll attempts.

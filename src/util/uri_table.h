@@ -9,8 +9,7 @@
 // `uri(id)`.
 //
 // Storage is a deque so interned strings never move: `uri(id)` references
-// and the string_views handed to PollRecord stay valid for the life of the
-// table.  Tables are append-only (a web origin retires content by updating
+// stay valid for the life of the table.  Tables are append-only (a web origin retires content by updating
 // it, not deleting it — see ObjectStore), so ids are stable forever.
 #pragma once
 

@@ -263,17 +263,11 @@ TEST(ReadTransactions, SpreadAndViolationsFromServeSeries) {
   // Proxy 0 serves a copy reflecting t = 10 (visible from t = 11);
   // proxy 1 one reflecting t = 100 (visible from t = 101).  Every
   // transaction sampled after both are visible sees spread 90 exactly.
-  PollLog log0, log1;
-  PollRecord r0;
-  r0.uri = "/a";
-  r0.snapshot_time = 10.0;
-  r0.complete_time = 11.0;
-  log0.append(r0);
-  PollRecord r1;
-  r1.uri = "/a";
-  r1.snapshot_time = 100.0;
-  r1.complete_time = 101.0;
-  log1.append(r1);
+  UriTable table;
+  const ObjectId a = table.intern("/a");
+  PollLog log0(table), log1(table);
+  log0.append(a, PollCause::kScheduled, false, false, 10.0, 11.0);
+  log1.append(a, PollCause::kScheduled, false, false, 100.0, 101.0);
 
   ReadTransactionConfig config;
   config.rate = 1.0;
@@ -301,7 +295,8 @@ TEST(ReadTransactions, SpreadAndViolationsFromServeSeries) {
 }
 
 TEST(ReadTransactions, ZeroRateDisablesSampling) {
-  PollLog log;
+  UriTable table;
+  PollLog log(table);
   const TransactionStats stats =
       evaluate_read_transactions({&log}, ReadTransactionConfig{}, 100.0);
   EXPECT_EQ(stats.transactions, 0u);
@@ -311,16 +306,12 @@ TEST(ReadTransactions, ZeroRateDisablesSampling) {
 // evaluating it would mis-score transactions sampled before the window, so
 // the evaluation fails fast instead.
 TEST(ReadTransactions, TruncatedLogFailsFast) {
-  PollLog log;
+  UriTable table;
+  const ObjectId a = table.intern("/a");
+  PollLog log(table);
   log.set_retention_window(1);
-  PollRecord r;
-  r.uri = "/a";
-  r.snapshot_time = 10.0;
-  r.complete_time = 11.0;
-  log.append(r);
-  r.snapshot_time = 20.0;
-  r.complete_time = 21.0;
-  log.append(r);
+  log.append(a, PollCause::kScheduled, false, false, 10.0, 11.0);
+  log.append(a, PollCause::kScheduled, false, false, 20.0, 21.0);
   log.compact();
   ASSERT_GT(log.dropped_records(), 0u);
 

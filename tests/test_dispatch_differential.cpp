@@ -96,6 +96,9 @@ Topology make_topology(std::uint64_t seed) {
 
 struct RunArtifacts {
   std::vector<PollRecord> records;
+  /// The run's intern table as an id -> uri list: records carry bare
+  /// ids, so comparisons resolve each run's ids through its own table.
+  std::vector<std::string> uris;
   std::vector<std::vector<std::pair<TimePoint, Duration>>> ttr_series;
   std::size_t triggered = 0;
   std::uint64_t notifies = 0;
@@ -140,6 +143,10 @@ RunArtifacts run_topology(const Topology& topology) {
 
   RunArtifacts artifacts;
   artifacts.records = engine.poll_log().records();
+  const UriTable& table = engine.uri_table();
+  for (ObjectId id = 0; id < table.size(); ++id) {
+    artifacts.uris.push_back(table.uri(id));
+  }
   for (const UpdateTrace& trace : topology.traces) {
     artifacts.ttr_series.push_back(engine.ttr_series(trace.name()));
   }
@@ -160,12 +167,14 @@ RunArtifacts run_topology(const Topology& topology) {
   return artifacts;
 }
 
-void expect_records_identical(const std::vector<PollRecord>& a,
-                              const std::vector<PollRecord>& b) {
+void expect_records_identical(const RunArtifacts& first,
+                              const RunArtifacts& second) {
+  const std::vector<PollRecord>& a = first.records;
+  const std::vector<PollRecord>& b = second.records;
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     SCOPED_TRACE("record " + std::to_string(i));
-    EXPECT_EQ(a[i].uri, b[i].uri);
+    EXPECT_EQ(first.uris.at(a[i].object), second.uris.at(b[i].object));
     EXPECT_EQ(a[i].object, b[i].object);
     EXPECT_EQ(a[i].cause, b[i].cause);
     EXPECT_EQ(a[i].modified, b[i].modified);
@@ -183,7 +192,7 @@ TEST(DispatchDifferential, RoutedRunIsDeterministicOverRandomTopologies) {
     const RunArtifacts first = run_topology(topology);
     const RunArtifacts second = run_topology(topology);
     ASSERT_FALSE(first.records.empty());
-    expect_records_identical(first.records, second.records);
+    expect_records_identical(first, second);
     EXPECT_EQ(first.ttr_series, second.ttr_series);
     EXPECT_EQ(first.triggered, second.triggered);
     EXPECT_EQ(first.notifies, second.notifies);

@@ -224,6 +224,7 @@ TEST(FleetFaults, InertScheduleMatchesFaultFreeRun) {
     std::vector<std::vector<PollRecord>> logs;
     std::vector<std::vector<std::pair<TimePoint, Duration>>> ttr_series;
     std::vector<std::size_t> ledger;
+    std::vector<std::string> table;  // the run's uris, by ObjectId
   };
   const auto run = [horizon](Duration latency, const FaultSchedule& faults) {
     Simulator sim;
@@ -249,6 +250,9 @@ TEST(FleetFaults, InertScheduleMatchesFaultFreeRun) {
     fleet.start();
     sim.run_until(horizon);
     Run result;
+    for (ObjectId id = 0; id < origin.uri_table().size(); ++id) {
+      result.table.push_back(origin.uri_table().uri(id));
+    }
     for (std::size_t p = 0; p < fleet.size(); ++p) {
       result.logs.push_back(fleet.proxy(p).poll_log().records());
       for (const std::string& uri : uris) {
@@ -278,7 +282,8 @@ TEST(FleetFaults, InertScheduleMatchesFaultFreeRun) {
       for (std::size_t i = 0; i < clean.logs[p].size(); ++i) {
         const PollRecord& a = clean.logs[p][i];
         const PollRecord& b = faulty.logs[p][i];
-        EXPECT_EQ(a.uri, b.uri) << "record " << i;
+        EXPECT_EQ(clean.table.at(a.object), faulty.table.at(b.object))
+            << "record " << i;
         EXPECT_EQ(a.cause, b.cause) << "record " << i;
         EXPECT_EQ(a.modified, b.modified) << "record " << i;
         EXPECT_EQ(a.failed, b.failed) << "record " << i;
@@ -600,13 +605,14 @@ TEST(FleetFaults, SiblingFailoverAbsorbsDarkOwnerAndHandsBack) {
   EXPECT_EQ(faulty.group->failover_triggers(), 0u);
 
   // Identical sibling logs up to the crash instant.
-  const auto& faulty_log = faulty.fleet->proxy(1).poll_log().records();
-  const auto& control_log = control.fleet->proxy(1).poll_log().records();
+  const PollLog& faulty_log = faulty.fleet->proxy(1).poll_log();
+  const PollLog& control_log = control.fleet->proxy(1).poll_log();
   ASSERT_EQ(faulty_log.size(), control_log.size());
   for (std::size_t i = 0; i < faulty_log.size(); ++i) {
     EXPECT_EQ(faulty_log[i].snapshot_time, control_log[i].snapshot_time);
     EXPECT_EQ(faulty_log[i].cause, control_log[i].cause);
-    EXPECT_EQ(faulty_log[i].uri, control_log[i].uri);
+    EXPECT_EQ(faulty_log.uri_table().uri(faulty_log[i].object),
+              control_log.uri_table().uri(control_log[i].object));
   }
 
   // During the outage the sibling absorbs the owner's responsibility.

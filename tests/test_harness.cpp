@@ -70,6 +70,15 @@ TEST(Harness, MutualRunReportsIndividualFidelity) {
   EXPECT_GT(result.individual_a.windows, 0u);
   EXPECT_GT(result.individual_b.windows, 0u);
   EXPECT_FALSE(result.poll_log.empty());
+  // The record ids of the two objects are named, and every record is one
+  // of them.
+  EXPECT_NE(result.object_a, kInvalidObjectId);
+  EXPECT_NE(result.object_b, kInvalidObjectId);
+  EXPECT_NE(result.object_a, result.object_b);
+  for (const PollRecord& record : result.poll_log) {
+    EXPECT_TRUE(record.object == result.object_a ||
+                record.object == result.object_b);
+  }
 }
 
 // ---- ScenarioBase knobs ----------------------------------------------------

@@ -7,12 +7,22 @@
 namespace broadway {
 namespace {
 
+// The table the hand-built records below are keyed through.
+UriTable& uris() {
+  static UriTable table;
+  return table;
+}
+
+const std::string& uri_of(const PollRecord& record) {
+  return uris().uri(record.object);
+}
+
 PollRecord record(TimePoint t, const std::string& uri, PollCause cause,
                   bool failed = false) {
   PollRecord out;
   out.snapshot_time = t;
   out.complete_time = t;
-  out.uri = uri;
+  out.object = uris().intern(uri);
   out.cause = cause;
   out.failed = failed;
   return out;
@@ -57,9 +67,18 @@ TEST(Accounting, PollsPerBucketFilteredByCause) {
 }
 
 TEST(Accounting, PollsPerBucketFilteredByUri) {
-  const auto only_a =
-      polls_per_bucket(sample_log(), 10.0, 40.0, std::nullopt, "/a");
+  PollLog log(uris());
+  for (const PollRecord& r : sample_log()) {
+    log.append(r.object, r.cause, r.modified, r.failed, r.snapshot_time,
+               r.complete_time);
+  }
+  const auto only_a = polls_per_bucket(log, 10.0, 40.0, std::nullopt, "/a");
   EXPECT_EQ(only_a, (std::vector<std::size_t>{1, 2, 1, 0}));
+  // Unfiltered, the indexed log agrees with the record-vector series.
+  EXPECT_EQ(polls_per_bucket(log, 10.0, 40.0),
+            polls_per_bucket(sample_log(), 10.0, 40.0));
+  EXPECT_EQ(polls_per_bucket(log, 10.0, 40.0, std::nullopt, "/absent"),
+            (std::vector<std::size_t>{0, 0, 0, 0}));
 }
 
 TEST(Accounting, EventsBeyondHorizonDropped) {
@@ -113,12 +132,12 @@ TEST(Accounting, MergePollRecordsOrdersBySnapshotThenProxy) {
       merge_poll_records({{0, &log0}, {1, &log1}});
   ASSERT_EQ(merged.size(), 5u);
   EXPECT_EQ(merged[0].snapshot_time, 0.0);  // proxy 0 initial
-  EXPECT_EQ(merged[0].uri, "/a");
+  EXPECT_EQ(uri_of(merged[0]), "/a");
   EXPECT_EQ(merged[1].snapshot_time, 0.0);  // proxy 1 initial
   EXPECT_EQ(merged[2].cause, PollCause::kRelay);  // snapshot 5.0
   EXPECT_EQ(merged[3].snapshot_time, 10.0);  // proxy 0 before proxy 1
-  EXPECT_EQ(merged[3].uri, "/a");
-  EXPECT_EQ(merged[4].uri, "/b");
+  EXPECT_EQ(uri_of(merged[3]), "/a");
+  EXPECT_EQ(uri_of(merged[4]), "/b");
 }
 
 TEST(Accounting, MergePollRecordsIsCallerOrderIndependent) {
@@ -133,7 +152,7 @@ TEST(Accounting, MergePollRecordsIsCallerOrderIndependent) {
   const auto backward = merge_poll_records({{1, &log1}, {0, &log0}});
   ASSERT_EQ(forward.size(), backward.size());
   for (std::size_t i = 0; i < forward.size(); ++i) {
-    EXPECT_EQ(forward[i].uri, backward[i].uri) << "record " << i;
+    EXPECT_EQ(uri_of(forward[i]), uri_of(backward[i])) << "record " << i;
     EXPECT_EQ(forward[i].snapshot_time, backward[i].snapshot_time);
   }
 }

@@ -113,23 +113,18 @@ TEST(TemporalFidelity, Validation) {
 }
 
 TEST(SuccessfulPolls, FiltersLogByUriAndFailure) {
-  std::vector<PollRecord> log;
-  PollRecord a;
-  a.uri = "/a";
-  a.snapshot_time = 1.0;
-  a.complete_time = 1.5;
-  log.push_back(a);
-  PollRecord failed = a;
-  failed.failed = true;
-  failed.snapshot_time = 2.0;
-  log.push_back(failed);
-  PollRecord other = a;
-  other.uri = "/b";
-  log.push_back(other);
+  UriTable table;
+  const ObjectId a = table.intern("/a");
+  const ObjectId b = table.intern("/b");
+  PollLog log(table);
+  log.append(a, PollCause::kScheduled, false, /*failed=*/false, 1.0, 1.5);
+  log.append(a, PollCause::kScheduled, false, /*failed=*/true, 2.0, 1.5);
+  log.append(b, PollCause::kScheduled, false, /*failed=*/false, 1.0, 1.5);
   const auto polls = successful_polls(log, "/a");
   ASSERT_EQ(polls.size(), 1u);
   EXPECT_DOUBLE_EQ(polls[0].snapshot, 1.0);
   EXPECT_DOUBLE_EQ(polls[0].complete, 1.5);
+  EXPECT_TRUE(successful_polls(log, "/absent").empty());
 }
 
 }  // namespace

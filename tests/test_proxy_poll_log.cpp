@@ -1,11 +1,13 @@
-// PollLog: the per-uri indices and running counters must agree exactly
+// PollLog: the per-object indices and running counters must agree exactly
 // with a brute-force scan of the full record vector — on a randomized
 // record stream and on a live engine driving all four object kinds.
 #include "proxy/poll_log.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -25,12 +27,21 @@
 namespace broadway {
 namespace {
 
-// Reference implementations: scan every record.
+// One record per append, so a whole PollRecord costs 24 bytes.
+static_assert(sizeof(PollRecord) <= 24);
+
+void append(PollLog& log, const PollRecord& record) {
+  log.append(record.object, record.cause, record.modified, record.failed,
+             record.snapshot_time, record.complete_time);
+}
+
+// Reference implementations: scan every record.  A counter's filter of
+// std::nullopt means all objects.
 std::vector<TimePoint> scan_completion_times(
-    const std::vector<PollRecord>& records, const std::string& uri) {
+    const std::vector<PollRecord>& records, ObjectId object) {
   std::vector<TimePoint> out;
   for (const PollRecord& record : records) {
-    if (!record.failed && record.uri == uri) {
+    if (!record.failed && record.object == object) {
       out.push_back(record.complete_time);
     }
   }
@@ -38,10 +49,10 @@ std::vector<TimePoint> scan_completion_times(
 }
 
 std::vector<TimePoint> scan_snapshot_times(
-    const std::vector<PollRecord>& records, const std::string& uri) {
+    const std::vector<PollRecord>& records, ObjectId object) {
   std::vector<TimePoint> out;
   for (const PollRecord& record : records) {
-    if (!record.failed && record.uri == uri) {
+    if (!record.failed && record.object == object) {
       out.push_back(record.snapshot_time);
     }
   }
@@ -49,22 +60,22 @@ std::vector<TimePoint> scan_snapshot_times(
 }
 
 std::size_t scan_polls_performed(const std::vector<PollRecord>& records,
-                                 const std::string& uri) {
+                                 std::optional<ObjectId> object) {
   std::size_t count = 0;
   for (const PollRecord& record : records) {
     if (record.failed || record.cause == PollCause::kInitial) continue;
-    if (!uri.empty() && record.uri != uri) continue;
+    if (object && record.object != *object) continue;
     ++count;
   }
   return count;
 }
 
 std::size_t scan_triggered_polls(const std::vector<PollRecord>& records,
-                                 const std::string& uri) {
+                                 std::optional<ObjectId> object) {
   std::size_t count = 0;
   for (const PollRecord& record : records) {
     if (record.failed || record.cause != PollCause::kTriggered) continue;
-    if (!uri.empty() && record.uri != uri) continue;
+    if (object && record.object != *object) continue;
     ++count;
   }
   return count;
@@ -79,22 +90,29 @@ std::size_t scan_failed_polls(const std::vector<PollRecord>& records) {
 }
 
 void expect_log_matches_scan(const PollLog& log,
-                             const std::vector<std::string>& uris) {
+                             const std::vector<ObjectId>& objects) {
   const std::vector<PollRecord>& records = log.records();
-  EXPECT_EQ(log.polls_performed(), scan_polls_performed(records, ""));
-  EXPECT_EQ(log.triggered_polls(), scan_triggered_polls(records, ""));
+  EXPECT_EQ(log.polls_performed(),
+            scan_polls_performed(records, std::nullopt));
+  EXPECT_EQ(log.triggered_polls(),
+            scan_triggered_polls(records, std::nullopt));
   EXPECT_EQ(log.failed_polls(), scan_failed_polls(records));
-  for (const std::string& uri : uris) {
-    SCOPED_TRACE(uri);
-    EXPECT_EQ(log.completion_times(uri), scan_completion_times(records, uri));
-    EXPECT_EQ(log.snapshot_times(uri), scan_snapshot_times(records, uri));
-    EXPECT_EQ(log.polls_performed(uri), scan_polls_performed(records, uri));
-    EXPECT_EQ(log.triggered_polls(uri), scan_triggered_polls(records, uri));
-    const std::vector<std::size_t>& successful = log.successful_records(uri);
+  for (const ObjectId object : objects) {
+    SCOPED_TRACE(object);
+    EXPECT_EQ(log.completion_times(object),
+              scan_completion_times(records, object));
+    EXPECT_EQ(log.snapshot_times(object),
+              scan_snapshot_times(records, object));
+    EXPECT_EQ(log.polls_performed(object),
+              scan_polls_performed(records, object));
+    EXPECT_EQ(log.triggered_polls(object),
+              scan_triggered_polls(records, object));
+    const std::vector<std::size_t>& successful =
+        log.successful_records(object);
     for (std::size_t i = 0; i < successful.size(); ++i) {
       ASSERT_LT(successful[i], records.size());
       EXPECT_FALSE(records[successful[i]].failed);
-      EXPECT_EQ(records[successful[i]].uri, uri);
+      EXPECT_EQ(records[successful[i]].object, object);
       if (i > 0) EXPECT_GT(successful[i], successful[i - 1]);
     }
   }
@@ -102,38 +120,44 @@ void expect_log_matches_scan(const PollLog& log,
 
 TEST(PollLog, IndexMatchesBruteForceOnRandomizedWorkload) {
   Rng rng(20260728);
-  const std::vector<std::string> uris = {"/a", "/b", "/c", "/d", "/e",
-                                         "/f", "/g", "/h"};
+  const ObjectId objects = 8;
   const PollCause causes[] = {PollCause::kInitial, PollCause::kScheduled,
                               PollCause::kTriggered, PollCause::kRetry};
-  PollLog log;
+  UriTable table;
+  PollLog log(table);
   TimePoint t = 0.0;
   for (int i = 0; i < 5000; ++i) {
     PollRecord record;
     t += rng.uniform(0.0, 5.0);
     record.snapshot_time = t;
     record.complete_time = t + rng.uniform(0.0, 2.0);
-    record.uri = uris[static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<std::int64_t>(uris.size()) - 1))];
+    record.object = static_cast<ObjectId>(rng.uniform_int(0, objects - 1));
     record.cause = causes[rng.uniform_int(0, 3)];
     record.failed = rng.bernoulli(0.2);
     record.modified = !record.failed && rng.bernoulli(0.5);
-    log.append(std::move(record));
+    append(log, record);
   }
   ASSERT_EQ(log.size(), 5000u);
 
-  std::vector<std::string> queried = uris;
-  queried.push_back("/never-polled");
+  // Every polled id, one past them (never polled) and the invalid id.
+  std::vector<ObjectId> queried;
+  for (ObjectId id = 0; id <= objects; ++id) queried.push_back(id);
+  queried.push_back(kInvalidObjectId);
   expect_log_matches_scan(log, queried);
 }
 
 TEST(PollLog, UnknownUriAnswersEmpty) {
-  PollLog log;
-  EXPECT_TRUE(log.completion_times("/nope").empty());
-  EXPECT_TRUE(log.snapshot_times("/nope").empty());
-  EXPECT_TRUE(log.successful_records("/nope").empty());
-  EXPECT_EQ(log.polls_performed("/nope"), 0u);
-  EXPECT_EQ(log.triggered_polls("/nope"), 0u);
+  UriTable table;
+  PollLog log(table);
+  for (const ObjectId object : {ObjectId{0}, kInvalidObjectId}) {
+    EXPECT_TRUE(log.completion_times(object).empty());
+    EXPECT_TRUE(log.snapshot_times(object).empty());
+    EXPECT_TRUE(log.successful_records(object).empty());
+    EXPECT_EQ(log.polls_performed(object), 0u);
+    EXPECT_EQ(log.triggered_polls(object), 0u);
+    EXPECT_EQ(log.relay_refreshes(object), 0u);
+    EXPECT_EQ(log.demand_fills(object), 0u);
+  }
   EXPECT_EQ(log.polls_performed(), 0u);
   EXPECT_EQ(log.failed_polls(), 0u);
 }
@@ -206,13 +230,22 @@ TEST(PollLog, EngineAccessorsMatchBruteForceScan) {
 
   const std::vector<std::string> uris = {"/t1", "/t2", "/v1", "/g1",
                                          "/g2", "/p1", "/p2", "/absent"};
-  expect_log_matches_scan(log, uris);
+  std::vector<ObjectId> objects;
   for (const std::string& uri : uris) {
-    SCOPED_TRACE(uri);
-    EXPECT_EQ(engine.poll_completion_times(uri), log.completion_times(uri));
-    EXPECT_EQ(engine.poll_snapshot_times(uri), log.snapshot_times(uri));
-    EXPECT_EQ(engine.polls_performed(uri), log.polls_performed(uri));
-    EXPECT_EQ(engine.triggered_polls(uri), log.triggered_polls(uri));
+    objects.push_back(log.uri_table().find(uri));
+  }
+  EXPECT_EQ(objects.back(), kInvalidObjectId);
+  expect_log_matches_scan(log, objects);
+  // The engine's string accessors resolve once and ask the log by id.
+  for (std::size_t i = 0; i < uris.size(); ++i) {
+    SCOPED_TRACE(uris[i]);
+    const ObjectId object = objects[i];
+    EXPECT_EQ(engine.poll_completion_times(uris[i]),
+              log.completion_times(object));
+    EXPECT_EQ(engine.poll_snapshot_times(uris[i]),
+              log.snapshot_times(object));
+    EXPECT_EQ(engine.polls_performed(uris[i]), log.polls_performed(object));
+    EXPECT_EQ(engine.triggered_polls(uris[i]), log.triggered_polls(object));
   }
 
   // ttr_series over a mixed registry: self-scheduled objects have series,
@@ -232,12 +265,13 @@ TEST(PollLog, EngineAccessorsMatchBruteForceScan) {
 // every counter must agree exactly; only the retained series shrink.
 TEST(PollLogRetention, CountersMatchUnwindowedExactly) {
   Rng rng(424242);
-  const std::vector<std::string> uris = {"/a", "/b", "/c", "/d"};
+  const ObjectId objects = 4;
   const PollCause causes[] = {PollCause::kInitial, PollCause::kScheduled,
                               PollCause::kTriggered, PollCause::kRetry,
                               PollCause::kRelay};
-  PollLog unwindowed;
-  PollLog windowed;
+  UriTable table;
+  PollLog unwindowed(table);
+  PollLog windowed(table);
   windowed.set_retention_window(16);
   TimePoint t = 0.0;
   for (int i = 0; i < 4000; ++i) {
@@ -245,14 +279,12 @@ TEST(PollLogRetention, CountersMatchUnwindowedExactly) {
     t += rng.uniform(0.0, 5.0);
     record.snapshot_time = t;
     record.complete_time = t + 1.0;
-    record.uri = uris[static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<std::int64_t>(uris.size()) - 1))];
+    record.object = static_cast<ObjectId>(rng.uniform_int(0, objects - 1));
     record.cause = causes[rng.uniform_int(0, 4)];
     record.failed = rng.bernoulli(0.15);
     record.modified = !record.failed && rng.bernoulli(0.5);
-    PollRecord copy = record;
-    unwindowed.append(std::move(record));
-    windowed.append(std::move(copy));
+    append(unwindowed, record);
+    append(windowed, record);
   }
 
   EXPECT_EQ(windowed.polls_performed(), unwindowed.polls_performed());
@@ -260,60 +292,62 @@ TEST(PollLogRetention, CountersMatchUnwindowedExactly) {
   EXPECT_EQ(windowed.relay_refreshes(), unwindowed.relay_refreshes());
   EXPECT_EQ(windowed.initial_polls(), unwindowed.initial_polls());
   EXPECT_EQ(windowed.failed_polls(), unwindowed.failed_polls());
-  for (const std::string& uri : uris) {
-    SCOPED_TRACE(uri);
-    EXPECT_EQ(windowed.polls_performed(uri), unwindowed.polls_performed(uri));
-    EXPECT_EQ(windowed.triggered_polls(uri), unwindowed.triggered_polls(uri));
-    EXPECT_EQ(windowed.relay_refreshes(uri), unwindowed.relay_refreshes(uri));
+  for (ObjectId object = 0; object < objects; ++object) {
+    SCOPED_TRACE(object);
+    EXPECT_EQ(windowed.polls_performed(object),
+              unwindowed.polls_performed(object));
+    EXPECT_EQ(windowed.triggered_polls(object),
+              unwindowed.triggered_polls(object));
+    EXPECT_EQ(windowed.relay_refreshes(object),
+              unwindowed.relay_refreshes(object));
   }
 
   // The windowed log actually evicted (that is its point) ...
   EXPECT_LT(windowed.size(), unwindowed.size());
   windowed.compact();
-  for (const std::string& uri : uris) {
-    SCOPED_TRACE(uri);
+  for (ObjectId object = 0; object < objects; ++object) {
+    SCOPED_TRACE(object);
     std::size_t live = 0;
     for (const PollRecord& record : windowed) {
-      if (record.uri == uri) ++live;
+      if (record.object == object) ++live;
     }
     EXPECT_LE(live, 16u);
     // ... and what it retains is exactly the newest suffix of the full
-    // stream's per-uri series.
-    const std::vector<TimePoint> full = unwindowed.completion_times(uri);
-    const std::vector<TimePoint> kept = windowed.completion_times(uri);
+    // stream's per-object series.
+    const std::vector<TimePoint> full = unwindowed.completion_times(object);
+    const std::vector<TimePoint> kept = windowed.completion_times(object);
     ASSERT_LE(kept.size(), full.size());
     EXPECT_TRUE(std::equal(kept.rbegin(), kept.rend(), full.rbegin()));
   }
 
   // Index invariants still hold on the compacted storage.
-  for (const std::string& uri : uris) {
+  for (ObjectId object = 0; object < objects; ++object) {
     const std::vector<std::size_t>& successful =
-        windowed.successful_records(uri);
+        windowed.successful_records(object);
     for (std::size_t i = 0; i < successful.size(); ++i) {
       ASSERT_LT(successful[i], windowed.size());
       EXPECT_FALSE(windowed[successful[i]].failed);
-      EXPECT_EQ(windowed[successful[i]].uri, uri);
+      EXPECT_EQ(windowed[successful[i]].object, object);
       if (i > 0) EXPECT_GT(successful[i], successful[i - 1]);
     }
   }
 }
 
 TEST(PollLogRetention, WindowCanBeEnabledAfterTheFact) {
-  PollLog log;
+  UriTable table;
+  const ObjectId only = table.intern("/only");
+  PollLog log(table);
   for (int i = 0; i < 100; ++i) {
-    PollRecord record;
-    record.snapshot_time = record.complete_time = static_cast<double>(i);
-    record.uri = "/only";
-    record.cause = i == 0 ? PollCause::kInitial : PollCause::kScheduled;
-    record.modified = true;
-    log.append(std::move(record));
+    const TimePoint t = static_cast<double>(i);
+    log.append(only, i == 0 ? PollCause::kInitial : PollCause::kScheduled,
+               /*modified=*/true, /*failed=*/false, t, t);
   }
   EXPECT_EQ(log.size(), 100u);
   log.set_retention_window(10);
   log.compact();
   EXPECT_EQ(log.size(), 10u);
-  EXPECT_EQ(log.polls_performed("/only"), 99u);  // counters never rewind
-  const std::vector<TimePoint> kept = log.completion_times("/only");
+  EXPECT_EQ(log.polls_performed(only), 99u);  // counters never rewind
+  const std::vector<TimePoint> kept = log.completion_times(only);
   ASSERT_EQ(kept.size(), 10u);
   EXPECT_EQ(kept.front(), 90.0);
   EXPECT_EQ(kept.back(), 99.0);

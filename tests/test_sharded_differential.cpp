@@ -166,8 +166,17 @@ ShardedFleet::PolicyFactory limd_factory() {
   };
 }
 
+/// A run's intern table as an id -> uri list.  Records carry bare ids,
+/// so record comparisons resolve each side through its own run's table.
+std::vector<std::string> uris_of(const UriTable& table) {
+  std::vector<std::string> out;
+  for (ObjectId id = 0; id < table.size(); ++id) out.push_back(table.uri(id));
+  return out;
+}
+
 /// Everything a run produces, keyed by global proxy id.
 struct Artifacts {
+  std::vector<std::string> uris;
   std::vector<std::vector<PollRecord>> records_by_proxy;
   std::vector<std::vector<std::pair<TimePoint, Duration>>> ttr_series;
   std::vector<PollRecord> merged;
@@ -203,6 +212,7 @@ Artifacts reference_run(const Topology& topo, Duration horizon,
   sim.run_until(horizon);
 
   Artifacts artifacts;
+  artifacts.uris = uris_of(origin.uri_table());
   std::vector<ProxyPollRecords> logs;
   for (std::size_t p = 0; p < fleet.size(); ++p) {
     artifacts.records_by_proxy.push_back(
@@ -266,6 +276,7 @@ Artifacts sharded_run(const Topology& topo, std::size_t threads,
   fleet->run_until(horizon);
 
   Artifacts artifacts;
+  artifacts.uris = uris_of(fleet->uri_table());
   for (std::size_t p = 0; p < fleet->size(); ++p) {
     artifacts.records_by_proxy.push_back(
         fleet->proxy(p).poll_log().records());
@@ -289,11 +300,13 @@ Artifacts sharded_run(const Topology& topo, std::size_t threads,
 }
 
 void expect_records_identical(const std::vector<PollRecord>& a,
-                              const std::vector<PollRecord>& b) {
+                              const std::vector<std::string>& a_uris,
+                              const std::vector<PollRecord>& b,
+                              const std::vector<std::string>& b_uris) {
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     SCOPED_TRACE("record " + std::to_string(i));
-    EXPECT_EQ(a[i].uri, b[i].uri);
+    EXPECT_EQ(a_uris.at(a[i].object), b_uris.at(b[i].object));
     EXPECT_EQ(a[i].object, b[i].object);
     EXPECT_EQ(a[i].cause, b[i].cause);
     EXPECT_EQ(a[i].modified, b[i].modified);
@@ -309,11 +322,12 @@ void expect_artifacts_identical(const Artifacts& reference,
             candidate.records_by_proxy.size());
   for (std::size_t p = 0; p < reference.records_by_proxy.size(); ++p) {
     SCOPED_TRACE("proxy " + std::to_string(p));
-    expect_records_identical(reference.records_by_proxy[p],
-                             candidate.records_by_proxy[p]);
+    expect_records_identical(reference.records_by_proxy[p], reference.uris,
+                             candidate.records_by_proxy[p], candidate.uris);
   }
   EXPECT_EQ(reference.ttr_series, candidate.ttr_series);
-  expect_records_identical(reference.merged, candidate.merged);
+  expect_records_identical(reference.merged, reference.uris,
+                           candidate.merged, candidate.uris);
   EXPECT_EQ(reference.origin_requests, candidate.origin_requests);
   EXPECT_EQ(reference.origin_polls, candidate.origin_polls);
   EXPECT_EQ(reference.relays_sent, candidate.relays_sent);
@@ -386,7 +400,8 @@ TEST(ShardedDifferential, MergeOrderIsThreadScheduleIndependent) {
   const Artifacts two = sharded_run(topo, 2, kHorizon);
   for (int repeat = 0; repeat < 3; ++repeat) {
     const Artifacts eight = sharded_run(topo, 8, kHorizon);
-    expect_records_identical(two.merged, eight.merged);
+    expect_records_identical(two.merged, two.uris, eight.merged,
+                             eight.uris);
   }
 }
 
@@ -446,6 +461,7 @@ TEST(ShardedDifferential, DeltaGroupsAreColocated) {
 
   const Artifacts reference = reference_run(topo, kHorizon);
   Artifacts candidate;
+  candidate.uris = uris_of(fleet->uri_table());
   for (std::size_t p = 0; p < fleet->size(); ++p) {
     candidate.records_by_proxy.push_back(
         fleet->proxy(p).poll_log().records());
@@ -458,8 +474,8 @@ TEST(ShardedDifferential, DeltaGroupsAreColocated) {
             candidate.records_by_proxy.size());
   for (std::size_t p = 0; p < reference.records_by_proxy.size(); ++p) {
     SCOPED_TRACE("proxy " + std::to_string(p));
-    expect_records_identical(reference.records_by_proxy[p],
-                             candidate.records_by_proxy[p]);
+    expect_records_identical(reference.records_by_proxy[p], reference.uris,
+                             candidate.records_by_proxy[p], candidate.uris);
   }
   EXPECT_EQ(reference.ttr_series, candidate.ttr_series);
 }
@@ -497,13 +513,16 @@ TEST(ShardedDifferential, PartitionSweepIsByteIdentical) {
           EXPECT_TRUE(any_split);
         }
         fleet->run_until(kHorizon);
-        expect_records_identical(reference.merged,
-                                 fleet->merged_poll_records());
+        const std::vector<std::string> uris = uris_of(fleet->uri_table());
+        expect_records_identical(reference.merged, reference.uris,
+                                 fleet->merged_poll_records(), uris);
         for (std::size_t p = 0; p < topo.proxies; ++p) {
           if (fleet->slice_count(p) != 1) continue;
           SCOPED_TRACE("proxy " + std::to_string(p));
           expect_records_identical(reference.records_by_proxy[p],
-                                   fleet->proxy(p).poll_log().records());
+                                   reference.uris,
+                                   fleet->proxy(p).poll_log().records(),
+                                   uris);
         }
         EXPECT_EQ(reference.origin_requests, fleet->origin_requests());
         EXPECT_EQ(reference.origin_polls, fleet->origin_polls());
@@ -558,13 +577,15 @@ TEST(ShardedDifferential, FaultInjectionSweepIsByteIdentical) {
       // A split proxy has no per-proxy log (fail-fast accessors), so
       // the per-proxy comparison covers unsplit proxies and the
       // merged stream pins the rest.
-      expect_records_identical(reference.merged,
-                               fleet->merged_poll_records());
+      const std::vector<std::string> uris = uris_of(fleet->uri_table());
+      expect_records_identical(reference.merged, reference.uris,
+                               fleet->merged_poll_records(), uris);
       for (std::size_t p = 0; p < topo.proxies; ++p) {
         if (fleet->slice_count(p) != 1) continue;
         SCOPED_TRACE("proxy " + std::to_string(p));
         expect_records_identical(reference.records_by_proxy[p],
-                                 fleet->proxy(p).poll_log().records());
+                                 reference.uris,
+                                 fleet->proxy(p).poll_log().records(), uris);
       }
       EXPECT_EQ(reference.origin_requests, fleet->origin_requests());
       EXPECT_EQ(reference.origin_polls, fleet->origin_polls());
@@ -612,13 +633,51 @@ TEST(ShardedDifferential, SparseLossyRetriesBoundTheWindow) {
     fleet->start();
     ASSERT_EQ(fleet->shard_count(), 2u);
     fleet->run_until(kHorizon);
-    expect_records_identical(reference.merged, fleet->merged_poll_records());
+    expect_records_identical(reference.merged, reference.uris,
+                             fleet->merged_poll_records(),
+                             uris_of(fleet->uri_table()));
     EXPECT_EQ(reference.relays_sent, fleet->relays_sent());
     EXPECT_EQ(reference.relays_delivered, fleet->relays_delivered());
     EXPECT_EQ(reference.relays_applied, fleet->relays_applied());
     EXPECT_EQ(reference.relays_in_flight, fleet->relays_in_flight());
     EXPECT_EQ(reference.relays_lost, fleet->relays_lost());
     EXPECT_EQ(reference.relays_retried, fleet->relays_retried());
+  }
+}
+
+// The window bound's crash/recovery-transition term, pinned where
+// nothing else bounds the window: two proxies relay one object (one shard
+// each) that updates every 900 s, and proxy 0 goes dark for 300 s.  A
+// dark proxy's timers are stopped, so its recovery instant is the only
+// source that bounds its next send; an edge that ignored the transition
+// would jump past it, and the first post-recovery relay would arrive at
+// an instant its destination has already run (advance_clock fails fast).
+TEST(ShardedDifferential, CrashRecoveryTransitionBoundsTheWindow) {
+  Topology topo;
+  topo.proxies = 2;
+  std::vector<TimePoint> updates;
+  for (TimePoint t = 50.0; t < kHorizon; t += 900.0) updates.push_back(t);
+  topo.traces.emplace_back("/periodic", std::move(updates), kHorizon);
+  topo.tracked = {{0, "/periodic"}, {1, "/periodic"}};
+  FaultSchedule faults;
+  faults.crashes.push_back({0, {{3152.0, 3452.0}}});
+  const Artifacts reference =
+      reference_run(topo, kHorizon, /*clients=*/false, faults);
+  ASSERT_GT(reference.relays_delivered, 0u);
+  for (const std::size_t threads : kThreadCounts) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    auto fleet = make_sharded(topo, threads, /*shards=*/0,
+                              /*clients=*/false, faults);
+    fleet->start();
+    ASSERT_EQ(fleet->shard_count(), 2u);
+    fleet->run_until(kHorizon);
+    expect_records_identical(reference.merged, reference.uris,
+                             fleet->merged_poll_records(),
+                             uris_of(fleet->uri_table()));
+    EXPECT_EQ(reference.relays_sent, fleet->relays_sent());
+    EXPECT_EQ(reference.relays_delivered, fleet->relays_delivered());
+    EXPECT_EQ(reference.relays_applied, fleet->relays_applied());
+    EXPECT_EQ(reference.relays_dropped_dark, fleet->relays_dropped_dark());
   }
 }
 
@@ -648,6 +707,7 @@ TEST(ShardedDifferential, DemandFillClientSweepIsByteIdentical) {
         fleet->start();
         fleet->run_until(kHorizon);
         Artifacts candidate;
+        candidate.uris = uris_of(fleet->uri_table());
         for (std::size_t p = 0; p < fleet->size(); ++p) {
           candidate.records_by_proxy.push_back(
               fleet->proxy(p).poll_log().records());
@@ -711,7 +771,8 @@ TEST(ShardedDifferential, InFlightRelaysDrainExactlyAcrossHorizons) {
   // pause neither reorders nor loses anything.
   const Artifacts straight = sharded_run(topo, 4, kHorizon);
   std::vector<PollRecord> merged = fleet->merged_poll_records();
-  expect_records_identical(straight.merged, merged);
+  expect_records_identical(straight.merged, straight.uris, merged,
+                           uris_of(fleet->uri_table()));
   EXPECT_EQ(straight.relays_delivered, fleet->relays_delivered());
   EXPECT_EQ(straight.relays_applied, fleet->relays_applied());
   const FleetOriginLoad straight_load = straight.load;
@@ -736,7 +797,9 @@ TEST(ShardedDifferential, PartitionedInFlightRelaysDrainExactly) {
   fleet->run_until(kHorizon);
   EXPECT_EQ(fleet->relays_in_flight(), 0u);
   EXPECT_EQ(fleet->relays_sent(), fleet->relays_delivered());
-  expect_records_identical(straight.merged, fleet->merged_poll_records());
+  expect_records_identical(straight.merged, straight.uris,
+                           fleet->merged_poll_records(),
+                           uris_of(fleet->uri_table()));
 }
 
 // ---- fail-fast contracts ---------------------------------------------------
