@@ -180,16 +180,16 @@ int main(int argc, char** argv) {
   const auto fills_off = run_fleet_client_temporal(demand_traces, lossy);
   lossy.fleet.base.engine.demand_fill = true;
   const auto fills_on = run_fleet_client_temporal(demand_traces, lossy);
+  const FleetOriginLoad& fills_on_load = fills_on.fleet.origin_load;
   const bool fills_happen =
-      fills_off.origin_load.demand_fills == 0 &&
-      fills_on.origin_load.demand_fills > 0 &&
-      fills_on.clients.demand_fills == fills_on.origin_load.demand_fills;
+      fills_off.fleet.origin_load.demand_fills == 0 &&
+      fills_on_load.demand_fills > 0 &&
+      fills_on.clients.demand_fills == fills_on_load.demand_fills;
   const bool fill_invariant_holds =
-      fills_on.origin_load.origin_polls ==
-          fills_on.origin_load.policy_polls() +
-              fills_on.origin_load.demand_fills &&
-      fills_on.causes.client_miss == fills_on.origin_load.demand_fills &&
-      fills_on.causes.total_refreshes() == fills_on.origin_load.origin_polls;
+      fills_on_load.origin_polls ==
+          fills_on_load.policy_polls() + fills_on_load.demand_fills &&
+      fills_on.fleet.causes.client_miss == fills_on_load.demand_fills &&
+      fills_on.fleet.causes.total_refreshes() == fills_on_load.origin_polls;
   const bool fills_reduce_misses =
       fills_on.clients.requests == fills_off.clients.requests &&
       fills_on.clients.misses < fills_off.clients.misses;
@@ -260,7 +260,7 @@ int main(int argc, char** argv) {
               << fills_off.clients.misses << " misses / "
               << fills_off.clients.requests << " requests\n  fills on:  "
               << fills_on.clients.misses << " misses, "
-              << fills_on.origin_load.demand_fills
+              << fills_on_load.demand_fills
               << " demand fills, mean fill latency "
               << fmt(fills_on.clients.fill_latency.mean(), 3) << " s\n";
     FaultSummary fault_summary;

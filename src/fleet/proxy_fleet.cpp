@@ -37,7 +37,6 @@ ProxyFleet::ProxyFleet(Simulator& sim, OriginServer& origin,
     engine_config.seed = config_.engine.seed + proxy_ids_[i];
     engines_.push_back(
         std::make_unique<PollingEngine>(sim_, origin_, engine_config));
-    engines_.back()->set_poll_log_retention(config_.poll_log_retention);
     // The listener feeds δ-groups as well as the relay channel, so it is
     // installed even when cooperative push is off.
     engines_.back()->set_poll_listener(

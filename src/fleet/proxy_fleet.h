@@ -61,12 +61,6 @@ struct FleetConfig {
   /// Per-engine template; proxy i runs with seed = engine.seed + i so
   /// loss-injection streams are independent across the fleet.
   EngineConfig engine;
-  /// Bound every proxy's poll-log memory for long-horizon runs: keep at
-  /// most this many records per object per proxy (0 = unlimited).
-  /// Forwarded to PollingEngine::set_poll_log_retention on every engine;
-  /// fleet counters (origin polls, relays, origin load) stay exact under
-  /// truncation — only per-object record series shorten.
-  std::size_t poll_log_retention = 0;
   /// Global proxy ids hosted by this fleet instance (ShardedFleet builds
   /// one ProxyFleet *slice* per shard).  Empty = this fleet is the whole
   /// fleet and proxy i's global id is i.  When set, `proxies` is ignored

@@ -85,7 +85,7 @@ namespace broadway {
 /// Sharded-fleet configuration.
 struct ShardedFleetConfig {
   /// The fleet being simulated (proxies, cooperative push, relay
-  /// latency, engine template, retention).  With cooperative push across
+  /// latency, engine template).  With cooperative push across
   /// more than one shard, relay_latency must be > 0 — it is the
   /// lookahead window.  FleetConfig::proxy_ids must be empty; the driver
   /// assigns proxies to shards itself.

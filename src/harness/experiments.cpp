@@ -51,10 +51,9 @@ Duration scenario_horizon(const ScenarioBase& scenario,
   return horizon;
 }
 
-/// The origin ledger of a run with full poll logs: the logs' O(1)
-/// counters must equal a per-record recount by cause — origin_polls the
-/// recounted refreshes, demand_fills the recounted client misses.
-/// Truncated logs undercount, so callers check only full ones.
+/// The origin ledger of a run: the poll logs' O(1) counters must equal a
+/// per-record recount by cause — origin_polls the recounted refreshes,
+/// demand_fills the recounted client misses.
 void check_origin_ledger(const FleetOriginLoad& load,
                          const PollCauseCounts& causes) {
   BROADWAY_CHECK_MSG(
@@ -66,9 +65,8 @@ void check_origin_ledger(const FleetOriginLoad& load,
           << load.demand_fills << " != recounted " << causes.client_miss);
 }
 
-/// check_origin_ledger for one engine's log, when nothing was evicted.
+/// check_origin_ledger for one engine's log.
 void check_origin_ledger(const PollLog& log) {
-  if (log.dropped_records() != 0) return;
   check_origin_ledger(fleet_origin_load({&log}), count_by_cause(log));
 }
 
@@ -80,7 +78,6 @@ TemporalRunResult run_temporal(const UpdateTrace& trace,
   Simulator sim;
   OriginServer origin(sim, make_origin_config(origin_history));
   PollingEngine engine(sim, origin, scenario.engine);
-  engine.set_poll_log_retention(scenario.poll_log_retention);
 
   origin.attach_update_trace(trace.name(), trace);
   engine.add_temporal_object(trace.name(), std::move(policy));
@@ -124,7 +121,6 @@ MutualTemporalRunResult run_mutual_temporal(
   Simulator sim;
   OriginServer origin(sim, make_origin_config(config.base.origin_history));
   PollingEngine engine(sim, origin, config.base.engine);
-  engine.set_poll_log_retention(config.base.poll_log_retention);
 
   origin.attach_update_trace(trace_a.name(), trace_a);
   origin.attach_update_trace(trace_b.name(), trace_b);
@@ -187,7 +183,6 @@ ValueRunResult run_value_individual(const ValueTrace& trace,
   Simulator sim;
   OriginServer origin(sim);
   PollingEngine engine(sim, origin, config.engine);
-  engine.set_poll_log_retention(config.poll_log_retention);
 
   origin.attach_value_trace(trace.name(), trace);
   AdaptiveValueTtrPolicy::Config policy;
@@ -218,7 +213,6 @@ MutualValueRunResult run_mutual_value(const ValueTrace& trace_a,
   Simulator sim;
   OriginServer origin(sim);
   PollingEngine engine(sim, origin, config.engine);
-  engine.set_poll_log_retention(config.poll_log_retention);
 
   origin.attach_value_trace(trace_a.name(), trace_a);
   origin.attach_value_trace(trace_b.name(), trace_b);
@@ -279,13 +273,13 @@ FleetConfig make_fleet_config(const FleetRunConfig& config) {
   fleet_config.cooperative_push = config.cooperative_push;
   fleet_config.relay_latency = config.relay_latency;
   fleet_config.engine = config.base.engine;
-  fleet_config.poll_log_retention = config.base.poll_log_retention;
   fleet_config.faults = config.faults;
   return fleet_config;
 }
 
-/// Shared fleet-side accounting + fidelity evaluation; works on both
-/// ProxyFleet and ShardedFleet (identical accessor surface).
+/// Shared fleet-side accounting, ledger checks and fidelity evaluation;
+/// works on both ProxyFleet and ShardedFleet (identical accessor
+/// surface).
 template <typename Fleet>
 FleetRunResult summarize_fleet(Fleet& fleet, std::size_t origin_requests,
                                const std::vector<UpdateTrace>& traces,
@@ -293,9 +287,14 @@ FleetRunResult summarize_fleet(Fleet& fleet, std::size_t origin_requests,
                                Duration horizon) {
   FleetRunResult result;
   result.origin_requests = origin_requests;
-  result.origin_polls = fleet.origin_polls();
+  result.origin_load = fleet.origin_load();
+  result.origin_polls = result.origin_load.origin_polls;
   result.origin_polls_per_second =
-      fleet.origin_load().polls_per_second(horizon);
+      result.origin_load.polls_per_second(horizon);
+  for (std::size_t p = 0; p < fleet.size(); ++p) {
+    result.causes.merge(count_by_cause(fleet.proxy(p).poll_log()));
+  }
+  check_origin_ledger(result.origin_load, result.causes);
   result.relays_delivered = fleet.relays_delivered();
   result.relays_applied = fleet.relays_applied();
   result.relays_sent = fleet.relays_sent();
@@ -370,10 +369,6 @@ ClientFleetRunResult run_fleet_client_temporal(
   fleet_config.client_traffic = client;
   ReadTransactionConfig transactions = config.transactions;
   transactions.seed = config.fleet.base.seed + 1;
-  if (transactions.rate > 0.0) {
-    BROADWAY_CHECK_MSG(config.fleet.base.poll_log_retention == 0,
-                       "read transactions need full poll logs");
-  }
 
   const auto add_objects = [&traces, &config](auto& fleet) {
     for (const UpdateTrace& trace : traces) {
@@ -395,18 +390,6 @@ ClientFleetRunResult run_fleet_client_temporal(
   };
 
   ClientFleetRunResult result;
-  // Origin load (O(1) counters) plus the per-record cause breakdown,
-  // checked against each other on full logs.  Client traffic pins every
-  // proxy to a single slice, so per-proxy log access is safe in the
-  // sharded branch too.
-  const bool full_logs = config.fleet.base.poll_log_retention == 0;
-  const auto summarize_load = [&result, full_logs](auto& fleet) {
-    result.origin_load = fleet.origin_load();
-    for (std::size_t p = 0; p < fleet.size(); ++p) {
-      result.causes.merge(count_by_cause(fleet.proxy(p).poll_log()));
-    }
-    if (full_logs) check_origin_ledger(result.origin_load, result.causes);
-  };
   if (config.threads <= 1) {
     Simulator sim;
     OriginServer origin(sim,
@@ -425,7 +408,6 @@ ClientFleetRunResult run_fleet_client_temporal(
     for (std::size_t p = 0; p < fleet.size(); ++p) {
       result.per_proxy_clients.push_back(fleet.client_traffic().metrics(p));
     }
-    summarize_load(fleet);
     result.transactions = evaluate_transactions(fleet);
   } else {
     ShardedFleetConfig sharded;
@@ -449,7 +431,6 @@ ClientFleetRunResult run_fleet_client_temporal(
     for (std::size_t p = 0; p < fleet.size(); ++p) {
       result.per_proxy_clients.push_back(fleet.client_metrics(p));
     }
-    summarize_load(fleet);
     result.transactions = evaluate_transactions(fleet);
   }
   return result;

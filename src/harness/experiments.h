@@ -37,9 +37,6 @@ struct ScenarioBase {
   /// traffic, transaction sampling).  The engine's loss-injection stream
   /// keeps its own EngineConfig::seed.
   std::uint64_t seed = 42;
-  /// Per-object poll-log retention window (0 = unlimited).  Bounds
-  /// memory on long horizons; counters stay exact, record series shorten.
-  std::size_t poll_log_retention = 0;
   /// Engine failure/latency model.
   EngineConfig engine;
 };
@@ -221,6 +218,15 @@ struct FleetRunResult {
   /// Scheduled outage time summed over the fleet, clamped to the run
   /// horizon (0 without crash windows).
   Duration dark_time = 0.0;
+  /// Aggregate origin load from the poll logs' O(1) counters, including
+  /// the demand-fill split.
+  FleetOriginLoad origin_load;
+  /// Fleet-wide successful-poll counts by cause, summed over every
+  /// proxy's record stream.  Every run CHECKs the origin ledger against
+  /// origin_load: causes.total_refreshes() == origin_load.origin_polls
+  /// and causes.client_miss == origin_load.demand_fills, so origin polls
+  /// are exactly policy polls plus demand fills.
+  PollCauseCounts causes;
   /// Eq. 14 fidelity over every (proxy, object) pair.
   double mean_fidelity_time = 0.0;
   double min_fidelity_time = 1.0;
@@ -240,8 +246,8 @@ FleetRunResult run_fleet_temporal(const std::vector<UpdateTrace>& traces,
 /// client_traffic.h), and an offline pass samples k-object read
 /// transactions against the δ-group bound (client/read_transactions.h).
 struct ClientFleetRunConfig {
-  /// The fleet under test.  Scenario knobs (duration, seed, retention)
-  /// live in fleet.base; the client and transaction seeds derive from
+  /// The fleet under test.  Scenario knobs (duration, seed) live in
+  /// fleet.base; the client and transaction seeds derive from
   /// fleet.base.seed so one seed pins the whole run.
   FleetRunConfig fleet;
   /// Client traffic shape (rate, Zipf exponent, diurnal profile,
@@ -249,8 +255,7 @@ struct ClientFleetRunConfig {
   /// fleet.base.seed; `popularity` empty = Zipf over the hosted objects.
   ClientTrafficConfig client;
   /// Read-transaction sampling (rate 0 = skip the transaction pass).
-  /// `seed` is overridden with fleet.base.seed + 1.  Requires
-  /// fleet.base.poll_log_retention == 0 (full serve series).
+  /// `seed` is overridden with fleet.base.seed + 1.
   ReadTransactionConfig transactions;
   /// Worker threads: 1 = single-simulator ProxyFleet; > 1 = ShardedFleet
   /// with this many workers.  Results are byte-identical either way.
@@ -264,23 +269,14 @@ struct ClientFleetRunConfig {
 };
 
 struct ClientFleetRunResult {
-  /// The usual fleet-side accounting and proxy fidelity.
+  /// The usual fleet-side accounting (origin load and cause recount
+  /// included) and proxy fidelity.
   FleetRunResult fleet;
   /// Fleet-wide client-observed metrics (hits, age, staleness, demand
   /// fills), merged in ascending global proxy id order.
   ClientMetrics clients;
   /// Per-proxy client metrics, indexed by global proxy id.
   std::vector<ClientMetrics> per_proxy_clients;
-  /// Aggregate origin load, including the demand-fill split.  The pinned
-  /// accounting invariant is
-  ///   origin_load.origin_polls ==
-  ///       origin_load.policy_polls() + origin_load.demand_fills.
-  FleetOriginLoad origin_load;
-  /// Fleet-wide successful-poll counts by cause, summed over every
-  /// proxy's full record stream — the cross-check against the O(1)
-  /// counters behind origin_load (causes.client_miss must equal
-  /// origin_load.demand_fills).
-  PollCauseCounts causes;
   /// Mutual-consistency evaluation of sampled read transactions
   /// (zero-initialised when transactions.rate == 0).
   TransactionStats transactions;

@@ -51,8 +51,7 @@ FleetOriginLoad fleet_origin_load(const std::vector<const PollLog*>& logs) {
   FleetOriginLoad load;
   for (const PollLog* log : logs) {
     BROADWAY_CHECK(log != nullptr);
-    // The logs' running counters: O(1) per log, and exact even when a
-    // retention window has evicted old records.
+    // The logs' running counters: O(1) per log.
     load.origin_messages += log->initial_polls() + log->polls_performed();
     load.origin_polls += log->polls_performed();
     load.relay_refreshes += log->relay_refreshes();

@@ -15,10 +15,8 @@
 // string.  Callers that hold a uri resolve it once through uri_table()
 // (PollingEngine's string accessors do exactly that).
 //
-// Long-horizon runs can cap memory with a retention window
-// (set_retention_window): each object keeps only its newest W records,
-// while every counter remains exact — eviction compacts storage, it never
-// rewinds accounting.
+// The log keeps every record of the run: the evaluation replays each
+// object's full series.
 #pragma once
 
 #include <cstddef>
@@ -47,10 +45,10 @@ struct PollRecord {
   bool failed = false;
 };
 
-/// Append-only, indexed poll log.  Reads behave like the plain record
-/// vector this class replaces (size/operator[]/iteration), and the indexed
-/// queries answer the evaluation's per-object questions without scanning
-/// other objects' records.
+/// Append-only, indexed poll log.  Reads behave like a record vector
+/// (size/operator[]/iteration), and the indexed queries answer the
+/// evaluation's per-object questions without scanning other objects'
+/// records.
 class PollLog {
  public:
   /// Log resolving ids through `table` (a polling engine shares its
@@ -104,7 +102,7 @@ class PollLog {
     return times_of(object, &PollRecord::snapshot_time);
   }
 
-  // ---- O(1) counters (exact even under a retention window) ----
+  // ---- O(1) counters ----
   // The zero-argument forms total all objects; the ObjectId forms count
   // one object (0 for one never polled).
 
@@ -145,30 +143,6 @@ class PollLog {
   /// Failed (lost) poll attempts, all objects.
   std::size_t failed_polls() const { return failed_total_; }
 
-  /// Records evicted by the retention window since construction (total
-  /// appended minus retained).  0 on a full log; evaluations that replay
-  /// the record *series* (read_transactions) fail fast when this is
-  /// non-zero.
-  std::size_t dropped_records() const {
-    return initial_total_ + performed_total_ + relay_total_ + failed_total_ -
-           records_.size();
-  }
-
-  // ---- windowed retention ----
-
-  /// Keep at most `window` records (of any kind) per object, evicting the
-  /// oldest; 0 (the default) disables eviction.  Counters stay exact;
-  /// per-object record *series* (successful_records and friends) are
-  /// truncated to the retained window, so long-horizon fleet runs that
-  /// only need counters stop growing without bound.  May be set at any
-  /// time; an over-budget log compacts on the next append (or compact()).
-  void set_retention_window(std::size_t window);
-  std::size_t retention_window() const { return window_; }
-
-  /// Force eviction of everything beyond the window now (no-op when the
-  /// window is 0 or nothing is evictable).
-  void compact();
-
  private:
   struct UriIndex {
     std::vector<std::size_t> successful;  ///< record indices, !failed
@@ -176,7 +150,6 @@ class PollLog {
     std::size_t triggered = 0;            ///< successful, kTriggered
     std::size_t relays = 0;               ///< successful, kRelay
     std::size_t demand = 0;               ///< successful, kClientMiss
-    std::size_t live = 0;                 ///< records currently retained
   };
 
   /// One per-object counter; 0 for an object that has no records.
@@ -189,7 +162,6 @@ class PollLog {
   UriIndex& index_for(ObjectId object);
 
   void count(UriIndex& index, const PollRecord& record);
-  void maybe_compact();
 
   const UriTable* table_;
   std::vector<PollRecord> records_;
@@ -200,8 +172,6 @@ class PollLog {
   std::size_t demand_total_ = 0;
   std::size_t initial_total_ = 0;
   std::size_t failed_total_ = 0;
-  std::size_t window_ = 0;
-  std::size_t evictable_ = 0;  ///< records beyond their object's window
 };
 
 }  // namespace broadway

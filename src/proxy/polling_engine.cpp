@@ -37,9 +37,8 @@ TrackedObject& PollingEngine::register_object(
   if (objects_by_id_.size() <= id) objects_by_id_.resize(id + 1);
   objects_by_id_[id] = std::move(object);
   TrackedObject* raw = objects_by_id_[id].get();
-  // Keep the deterministic sorted-by-uri sweep order of the uri-keyed map
-  // this structure replaces (registration is cold; insertion cost is
-  // irrelevant).
+  // Keep the sweep order sorted by uri, which is deterministic
+  // (registration is cold; insertion cost is irrelevant).
   ordered_.insert(std::upper_bound(ordered_.begin(), ordered_.end(), raw,
                                    [](const TrackedObject* a,
                                       const TrackedObject* b) {

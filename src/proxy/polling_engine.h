@@ -310,14 +310,6 @@ class PollingEngine {
   /// The indexed poll log (vector-compatible reads; see PollLog).
   const PollLog& poll_log() const { return poll_log_; }
 
-  /// Bound poll-log memory for long-horizon runs: keep at most `window`
-  /// records per object (0 = unlimited, the default).  Counters stay
-  /// exact; per-object record series are truncated to the window — see
-  /// PollLog::set_retention_window.
-  void set_poll_log_retention(std::size_t window) {
-    poll_log_.set_retention_window(window);
-  }
-
   // The string accessors below resolve `uri` once through the shared
   // table and ask the log by id; an unknown uri reads as never polled.
 
@@ -333,32 +325,33 @@ class PollingEngine {
     return poll_log_.snapshot_times(uris_.find(uri));
   }
 
+  // The zero-argument counters total all objects; the uri forms count one
+  // object.  All are O(1).
+
   /// Successful polls excluding initial fetches — the paper's "number of
-  /// polls" metric.  Empty uri = all objects.  O(1).
-  std::size_t polls_performed(const std::string& uri = "") const {
-    return uri.empty() ? poll_log_.polls_performed()
-                       : poll_log_.polls_performed(uris_.find(uri));
+  /// polls" metric.
+  std::size_t polls_performed() const { return poll_log_.polls_performed(); }
+  std::size_t polls_performed(const std::string& uri) const {
+    return poll_log_.polls_performed(uris_.find(uri));
   }
 
-  /// Triggered polls only (the mutual-consistency overhead).  Empty uri =
-  /// all objects.  O(1).
-  std::size_t triggered_polls(const std::string& uri = "") const {
-    return uri.empty() ? poll_log_.triggered_polls()
-                       : poll_log_.triggered_polls(uris_.find(uri));
+  /// Triggered polls only (the mutual-consistency overhead).
+  std::size_t triggered_polls() const { return poll_log_.triggered_polls(); }
+  std::size_t triggered_polls(const std::string& uri) const {
+    return poll_log_.triggered_polls(uris_.find(uri));
   }
 
-  /// Refreshes applied from sibling-proxy relays.  Empty uri = all
-  /// objects.  O(1).
-  std::size_t relay_refreshes(const std::string& uri = "") const {
-    return uri.empty() ? poll_log_.relay_refreshes()
-                       : poll_log_.relay_refreshes(uris_.find(uri));
+  /// Refreshes applied from sibling-proxy relays.
+  std::size_t relay_refreshes() const { return poll_log_.relay_refreshes(); }
+  std::size_t relay_refreshes(const std::string& uri) const {
+    return poll_log_.relay_refreshes(uris_.find(uri));
   }
 
   /// Successful demand fills (client misses fetched through to the
-  /// origin).  Empty uri = all objects.  O(1).
-  std::size_t demand_fills(const std::string& uri = "") const {
-    return uri.empty() ? poll_log_.demand_fills()
-                       : poll_log_.demand_fills(uris_.find(uri));
+  /// origin).
+  std::size_t demand_fills() const { return poll_log_.demand_fills(); }
+  std::size_t demand_fills(const std::string& uri) const {
+    return poll_log_.demand_fills(uris_.find(uri));
   }
 
   /// Failed (lost) poll attempts.
@@ -413,7 +406,7 @@ class PollingEngine {
   // unique_ptr elements: scheduled tasks and groups capture raw object
   // pointers, which must survive container growth.  Indexed by ObjectId;
   // ordered_ repeats them sorted by uri for deterministic start/recovery
-  // sweeps (the iteration order of the uri-keyed map this replaces).
+  // sweeps.
   std::vector<std::unique_ptr<TrackedObject>> objects_by_id_;
   std::vector<TrackedObject*> ordered_;
   std::vector<std::unique_ptr<MutualCoordinator>> coordinators_;

@@ -302,26 +302,6 @@ TEST(ReadTransactions, ZeroRateDisablesSampling) {
   EXPECT_EQ(stats.transactions, 0u);
 }
 
-// A retention-truncated log has lost serve-series prefix records; silently
-// evaluating it would mis-score transactions sampled before the window, so
-// the evaluation fails fast instead.
-TEST(ReadTransactions, TruncatedLogFailsFast) {
-  UriTable table;
-  const ObjectId a = table.intern("/a");
-  PollLog log(table);
-  log.set_retention_window(1);
-  log.append(a, PollCause::kScheduled, false, false, 10.0, 11.0);
-  log.append(a, PollCause::kScheduled, false, false, 20.0, 21.0);
-  log.compact();
-  ASSERT_GT(log.dropped_records(), 0u);
-
-  ReadTransactionConfig config;
-  config.rate = 1.0;
-  config.objects = 1;
-  EXPECT_THROW(evaluate_read_transactions({&log}, config, 100.0),
-               CheckFailure);
-}
-
 // ---- demand fills (EngineConfig::demand_fill) ------------------------------
 
 // The engine keys loss decisions by (seed, object id, per-object attempt

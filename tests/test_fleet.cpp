@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <memory>
 
 #include "consistency/limd.h"
@@ -482,82 +481,6 @@ TEST(ProxyFleet, InFlightRelaysAreCountedAndDrainedExactly) {
   EXPECT_EQ(control_load.origin_polls, paused_load.origin_polls);
   EXPECT_EQ(control_load.relay_refreshes, paused_load.relay_refreshes);
   EXPECT_EQ(control_load.failed, paused_load.failed);
-}
-
-// FleetConfig::poll_log_retention forwards to every engine's
-// set_poll_log_retention.  Truncation must shorten the per-object record
-// series without perturbing a single fleet counter: an identical run with
-// unlimited logs is the ground truth.
-TEST(ProxyFleet, PollLogRetentionKeepsFleetCountersExact) {
-  const Duration horizon = 12000.0;
-  std::vector<UpdateTrace> traces;
-  for (int i = 0; i < 3; ++i) {
-    traces.emplace_back("/object/" + std::to_string(i),
-                        generate_periodic(120.0 + 40.0 * i, 15.0, horizon),
-                        horizon);
-  }
-
-  const auto run = [&](std::size_t retention) {
-    auto sim = std::make_unique<Simulator>();
-    auto origin = std::make_unique<OriginServer>(*sim);
-    FleetConfig config;
-    config.proxies = 3;
-    config.cooperative_push = true;
-    config.engine.loss_probability = 0.05;
-    config.engine.retry_delay = 2.0;
-    config.poll_log_retention = retention;
-    auto fleet = std::make_unique<ProxyFleet>(*sim, *origin, config);
-    for (const UpdateTrace& trace : traces) {
-      origin->attach_update_trace(trace.name(), trace);
-      fleet->add_temporal_object_everywhere(trace.name(),
-                                            limd_factory(60.0, 600.0));
-    }
-    fleet->start();
-    sim->run_until(horizon);
-    struct Result {
-      std::unique_ptr<Simulator> sim;
-      std::unique_ptr<OriginServer> origin;
-      std::unique_ptr<ProxyFleet> fleet;
-    };
-    return Result{std::move(sim), std::move(origin), std::move(fleet)};
-  };
-
-  const auto unlimited = run(0);
-  const auto truncated = run(4);
-
-  // Counters: exact, fleet-wide and per object, per proxy.
-  EXPECT_EQ(truncated.fleet->origin_polls(), unlimited.fleet->origin_polls());
-  EXPECT_EQ(truncated.fleet->relays_delivered(),
-            unlimited.fleet->relays_delivered());
-  EXPECT_EQ(truncated.fleet->relays_applied(),
-            unlimited.fleet->relays_applied());
-  const FleetOriginLoad unlimited_load = unlimited.fleet->origin_load();
-  const FleetOriginLoad truncated_load = truncated.fleet->origin_load();
-  EXPECT_EQ(truncated_load.origin_messages, unlimited_load.origin_messages);
-  EXPECT_EQ(truncated_load.origin_polls, unlimited_load.origin_polls);
-  for (std::size_t p = 0; p < truncated.fleet->size(); ++p) {
-    const PollingEngine& engine = truncated.fleet->proxy(p);
-    const PollingEngine& reference = unlimited.fleet->proxy(p);
-    EXPECT_EQ(engine.poll_log().retention_window(), 4u);
-    EXPECT_EQ(engine.failed_polls(), reference.failed_polls());
-    for (const UpdateTrace& trace : traces) {
-      SCOPED_TRACE("proxy " + std::to_string(p) + " " + trace.name());
-      EXPECT_EQ(engine.polls_performed(trace.name()),
-                reference.polls_performed(trace.name()));
-      EXPECT_EQ(engine.relay_refreshes(trace.name()),
-                reference.relay_refreshes(trace.name()));
-      // The record series genuinely truncated (eviction is amortized, so
-      // the instantaneous length may sit a little above the window)...
-      const auto series = engine.poll_snapshot_times(trace.name());
-      const auto full = reference.poll_snapshot_times(trace.name());
-      ASSERT_LT(series.size(), full.size());
-      // ...and what remains is the newest suffix of the reference series.
-      EXPECT_TRUE(std::equal(series.begin(), series.end(),
-                             full.end() - static_cast<std::ptrdiff_t>(
-                                              series.size())));
-    }
-    EXPECT_LT(engine.poll_log().size(), reference.poll_log().size());
-  }
 }
 
 }  // namespace

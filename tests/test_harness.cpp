@@ -94,17 +94,6 @@ TEST(Harness, DurationKnobTruncatesTheRun) {
   EXPECT_GT(half.polls, 0u);
 }
 
-TEST(Harness, RetentionKnobKeepsPollCountsExact) {
-  const UpdateTrace trace = make_cnn_fn_trace();
-  TemporalRunConfig config;
-  config.delta = minutes(10.0);
-  const auto unlimited = run_limd_individual(trace, config);
-  config.poll_log_retention = 4;
-  const auto windowed = run_limd_individual(trace, config);
-  // Counters never rewind under eviction; only record series shorten.
-  EXPECT_EQ(windowed.polls, unlimited.polls);
-}
-
 // ---- fleet + client traffic ------------------------------------------------
 
 namespace client_fleet {

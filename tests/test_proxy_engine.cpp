@@ -47,6 +47,10 @@ TEST(PollingEngine, FixedPolicyPollsOnSchedule) {
   const auto times = rig.engine.poll_completion_times("/a");
   EXPECT_EQ(times, (std::vector<TimePoint>{0.0, 10.0, 20.0, 30.0}));
   EXPECT_EQ(rig.engine.polls_performed("/a"), 3u);
+  // The zero-argument form totals all objects; an empty uri is just an
+  // unknown object.
+  EXPECT_EQ(rig.engine.polls_performed(), 3u);
+  EXPECT_EQ(rig.engine.polls_performed(""), 0u);
 }
 
 TEST(PollingEngine, ModifiedFlagTracksServerUpdates) {

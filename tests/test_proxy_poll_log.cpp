@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <memory>
 #include <optional>
 #include <string>
@@ -63,7 +62,10 @@ std::size_t scan_polls_performed(const std::vector<PollRecord>& records,
                                  std::optional<ObjectId> object) {
   std::size_t count = 0;
   for (const PollRecord& record : records) {
-    if (record.failed || record.cause == PollCause::kInitial) continue;
+    if (record.failed || record.cause == PollCause::kInitial ||
+        record.cause == PollCause::kRelay) {
+      continue;
+    }
     if (object && record.object != *object) continue;
     ++count;
   }
@@ -122,7 +124,8 @@ TEST(PollLog, IndexMatchesBruteForceOnRandomizedWorkload) {
   Rng rng(20260728);
   const ObjectId objects = 8;
   const PollCause causes[] = {PollCause::kInitial, PollCause::kScheduled,
-                              PollCause::kTriggered, PollCause::kRetry};
+                              PollCause::kTriggered, PollCause::kRetry,
+                              PollCause::kRelay};
   UriTable table;
   PollLog log(table);
   TimePoint t = 0.0;
@@ -132,7 +135,7 @@ TEST(PollLog, IndexMatchesBruteForceOnRandomizedWorkload) {
     record.snapshot_time = t;
     record.complete_time = t + rng.uniform(0.0, 2.0);
     record.object = static_cast<ObjectId>(rng.uniform_int(0, objects - 1));
-    record.cause = causes[rng.uniform_int(0, 3)];
+    record.cause = causes[rng.uniform_int(0, 4)];
     record.failed = rng.bernoulli(0.2);
     record.modified = !record.failed && rng.bernoulli(0.5);
     append(log, record);
@@ -257,123 +260,6 @@ TEST(PollLog, EngineAccessorsMatchBruteForceScan) {
   EXPECT_TRUE(engine.ttr_series("/g1").empty());
   EXPECT_TRUE(engine.ttr_series("/g2").empty());
   EXPECT_TRUE(engine.ttr_series("/absent").empty());
-}
-
-// ---- windowed retention ----------------------------------------------------
-
-// Replay the same randomized stream into an unwindowed and a windowed log:
-// every counter must agree exactly; only the retained series shrink.
-TEST(PollLogRetention, CountersMatchUnwindowedExactly) {
-  Rng rng(424242);
-  const ObjectId objects = 4;
-  const PollCause causes[] = {PollCause::kInitial, PollCause::kScheduled,
-                              PollCause::kTriggered, PollCause::kRetry,
-                              PollCause::kRelay};
-  UriTable table;
-  PollLog unwindowed(table);
-  PollLog windowed(table);
-  windowed.set_retention_window(16);
-  TimePoint t = 0.0;
-  for (int i = 0; i < 4000; ++i) {
-    PollRecord record;
-    t += rng.uniform(0.0, 5.0);
-    record.snapshot_time = t;
-    record.complete_time = t + 1.0;
-    record.object = static_cast<ObjectId>(rng.uniform_int(0, objects - 1));
-    record.cause = causes[rng.uniform_int(0, 4)];
-    record.failed = rng.bernoulli(0.15);
-    record.modified = !record.failed && rng.bernoulli(0.5);
-    append(unwindowed, record);
-    append(windowed, record);
-  }
-
-  EXPECT_EQ(windowed.polls_performed(), unwindowed.polls_performed());
-  EXPECT_EQ(windowed.triggered_polls(), unwindowed.triggered_polls());
-  EXPECT_EQ(windowed.relay_refreshes(), unwindowed.relay_refreshes());
-  EXPECT_EQ(windowed.initial_polls(), unwindowed.initial_polls());
-  EXPECT_EQ(windowed.failed_polls(), unwindowed.failed_polls());
-  for (ObjectId object = 0; object < objects; ++object) {
-    SCOPED_TRACE(object);
-    EXPECT_EQ(windowed.polls_performed(object),
-              unwindowed.polls_performed(object));
-    EXPECT_EQ(windowed.triggered_polls(object),
-              unwindowed.triggered_polls(object));
-    EXPECT_EQ(windowed.relay_refreshes(object),
-              unwindowed.relay_refreshes(object));
-  }
-
-  // The windowed log actually evicted (that is its point) ...
-  EXPECT_LT(windowed.size(), unwindowed.size());
-  windowed.compact();
-  for (ObjectId object = 0; object < objects; ++object) {
-    SCOPED_TRACE(object);
-    std::size_t live = 0;
-    for (const PollRecord& record : windowed) {
-      if (record.object == object) ++live;
-    }
-    EXPECT_LE(live, 16u);
-    // ... and what it retains is exactly the newest suffix of the full
-    // stream's per-object series.
-    const std::vector<TimePoint> full = unwindowed.completion_times(object);
-    const std::vector<TimePoint> kept = windowed.completion_times(object);
-    ASSERT_LE(kept.size(), full.size());
-    EXPECT_TRUE(std::equal(kept.rbegin(), kept.rend(), full.rbegin()));
-  }
-
-  // Index invariants still hold on the compacted storage.
-  for (ObjectId object = 0; object < objects; ++object) {
-    const std::vector<std::size_t>& successful =
-        windowed.successful_records(object);
-    for (std::size_t i = 0; i < successful.size(); ++i) {
-      ASSERT_LT(successful[i], windowed.size());
-      EXPECT_FALSE(windowed[successful[i]].failed);
-      EXPECT_EQ(windowed[successful[i]].object, object);
-      if (i > 0) EXPECT_GT(successful[i], successful[i - 1]);
-    }
-  }
-}
-
-TEST(PollLogRetention, WindowCanBeEnabledAfterTheFact) {
-  UriTable table;
-  const ObjectId only = table.intern("/only");
-  PollLog log(table);
-  for (int i = 0; i < 100; ++i) {
-    const TimePoint t = static_cast<double>(i);
-    log.append(only, i == 0 ? PollCause::kInitial : PollCause::kScheduled,
-               /*modified=*/true, /*failed=*/false, t, t);
-  }
-  EXPECT_EQ(log.size(), 100u);
-  log.set_retention_window(10);
-  log.compact();
-  EXPECT_EQ(log.size(), 10u);
-  EXPECT_EQ(log.polls_performed(only), 99u);  // counters never rewind
-  const std::vector<TimePoint> kept = log.completion_times(only);
-  ASSERT_EQ(kept.size(), 10u);
-  EXPECT_EQ(kept.front(), 90.0);
-  EXPECT_EQ(kept.back(), 99.0);
-}
-
-// A long-horizon engine run under a retention window: counters equal the
-// unwindowed twin's, memory stays bounded.
-TEST(PollLogRetention, EngineCountersSurviveEviction) {
-  const Duration horizon = 50000.0;
-  auto run = [&](std::size_t window) {
-    Simulator sim;
-    OriginServer origin(sim);
-    origin.attach_update_trace(
-        "/t", UpdateTrace("/t", generate_periodic(40.0, 20.0, horizon),
-                          horizon));
-    PollingEngine engine(sim, origin);
-    engine.add_temporal_object("/t",
-                               std::make_unique<FixedPollPolicy>(25.0));
-    if (window > 0) {
-      engine.set_poll_log_retention(window);
-    }
-    engine.start();
-    sim.run_until(horizon);
-    return engine.polls_performed("/t");
-  };
-  EXPECT_EQ(run(0), run(32));
 }
 
 }  // namespace
