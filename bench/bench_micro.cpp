@@ -19,11 +19,13 @@
 #include "http/codec.h"
 #include "http/extensions.h"
 #include "metrics/fidelity.h"
+#include "metrics/mutual_fidelity.h"
 #include "origin/origin_server.h"
 #include "proxy/poll_log.h"
 #include "proxy/polling_engine.h"
 #include "sim/simulator.h"
 #include "trace/diurnal.h"
+#include "trace/generators.h"
 #include "trace/paper_workloads.h"
 #include "trace/update_trace.h"
 #include "util/rng.h"
@@ -204,6 +206,35 @@ void BM_TemporalFidelityEvaluation(benchmark::State& state) {
                           static_cast<int64_t>(polls.size()));
 }
 BENCHMARK(BM_TemporalFidelityEvaluation);
+
+// Mt fidelity (Eq. 4) of one 8-member δ-group over a day, every one of its
+// 28 pairs: the shape of perfbench's proxy_mutual, about 115 polls per
+// object with a small RTT between snapshot and completion.
+void BM_MutualTemporalEvaluation(benchmark::State& state) {
+  constexpr std::size_t kMembers = 8;
+  constexpr Duration kDay = 86400.0;
+  Rng rng(7);
+  std::vector<UpdateTrace> traces;
+  std::vector<std::vector<PollInstant>> polls(kMembers);
+  for (std::size_t i = 0; i < kMembers; ++i) {
+    traces.emplace_back("/group/" + std::to_string(i),
+                        generate_poisson(rng, 1.0 / 900.0, kDay), kDay);
+    for (TimePoint t = 0.0; t < kDay; t += rng.uniform(250.0, 1250.0)) {
+      polls[i].push_back(PollInstant{t, t + rng.uniform(0.05, 0.3)});
+    }
+  }
+  for (auto _ : state) {
+    for (std::size_t a = 0; a < kMembers; ++a) {
+      for (std::size_t b = a + 1; b < kMembers; ++b) {
+        benchmark::DoNotOptimize(evaluate_mutual_temporal(
+            traces[a], polls[a], traces[b], polls[b], 60.0, kDay));
+      }
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(kMembers * (kMembers - 1) / 2));
+}
+BENCHMARK(BM_MutualTemporalEvaluation);
 
 // A poll log as a harness sweep produces it: `objects` uris polled
 // round-robin, 200 records each, appended by id as the engine does.

@@ -288,7 +288,6 @@ FleetRunResult summarize_fleet(Fleet& fleet, std::size_t origin_requests,
   FleetRunResult result;
   result.origin_requests = origin_requests;
   result.origin_load = fleet.origin_load();
-  result.origin_polls = result.origin_load.origin_polls;
   result.origin_polls_per_second =
       result.origin_load.polls_per_second(horizon);
   for (std::size_t p = 0; p < fleet.size(); ++p) {

@@ -199,9 +199,8 @@ struct FleetRunConfig {
 struct FleetRunResult {
   /// Messages the origin served (initial fetches + polls, fleet-wide).
   std::size_t origin_requests = 0;
-  /// Successful non-initial origin polls, fleet-wide.
-  std::size_t origin_polls = 0;
-  /// Mean origin polls per second over the longest trace horizon.
+  /// Mean origin polls (origin_load.origin_polls) per second over the
+  /// longest trace horizon.
   double origin_polls_per_second = 0.0;
   /// Relay messages sent / accepted on the proxy–proxy channel.
   std::size_t relays_delivered = 0;

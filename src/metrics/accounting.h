@@ -36,8 +36,10 @@ struct PollCauseCounts {
 
   /// Origin polls the refresh policies initiated (TTR expiry, coordinator
   /// triggers, loss retries) — total_refreshes() without the
-  /// demand-driven fills.  The fleet invariant is
-  ///   origin_polls == policy_polls + demand fills.
+  /// demand-driven fills.  The harness's check_origin_ledger compares this
+  /// per-record recount with the logs' counters (FleetOriginLoad), so
+  ///   origin_polls == policy_polls + demand fills
+  /// is checked against the records, not assumed.
   std::size_t policy_polls() const { return scheduled + triggered + retry; }
 
   /// Fold another log's counts into this one (plain sums).
@@ -69,14 +71,17 @@ struct FleetOriginLoad {
   /// Refreshes served by sibling relays instead of origin polls.
   std::size_t relay_refreshes = 0;
   /// Demand fills: origin polls triggered by client cache misses
-  /// (PollCause::kClientMiss).  A subset of origin_polls; the pinned
-  /// invariant is origin_polls == policy polls + demand_fills.
+  /// (PollCause::kClientMiss).  A subset of origin_polls.  The invariant
+  /// origin_polls == policy polls + demand_fills is checked against the
+  /// per-record recount by cause (PollCauseCounts) in the harness's
+  /// check_origin_ledger.
   std::size_t demand_fills = 0;
   /// Failed (lost) poll attempts across the fleet.
   std::size_t failed = 0;
 
   /// Origin polls the refresh policies initiated (everything but the
-  /// demand fills).
+  /// demand fills).  origin_polls - demand_fills by definition, so it
+  /// cannot check the ledger; check_origin_ledger's recount does.
   std::size_t policy_polls() const { return origin_polls - demand_fills; }
 
   /// Mean origin polls per second over the horizon (0 for horizon <= 0).

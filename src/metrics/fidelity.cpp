@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "metrics/sweep_cursor.h"
 #include "util/check.h"
 
 namespace broadway {
@@ -36,14 +37,12 @@ TemporalFidelityReport evaluate_temporal_fidelity(
   BROADWAY_CHECK_MSG(!polls.empty(), "no polls to evaluate");
   BROADWAY_CHECK_MSG(delta > 0.0, "delta " << delta);
   BROADWAY_CHECK_MSG(horizon > 0.0, "horizon " << horizon);
+  detail::check_completion_order(polls);
 
   TemporalFidelityReport report;
   report.horizon = horizon;
 
   for (std::size_t k = 0; k < polls.size(); ++k) {
-    BROADWAY_CHECK_MSG(
-        k == 0 || polls[k].complete >= polls[k - 1].complete,
-        "polls out of order");
     const TimePoint window_begin = polls[k].complete;
     const TimePoint window_end =
         k + 1 < polls.size() ? polls[k + 1].complete : horizon;

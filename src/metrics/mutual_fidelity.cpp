@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "metrics/sweep_cursor.h"
 #include "util/check.h"
 
 namespace broadway {
@@ -19,19 +20,44 @@ double MutualTemporalReport::fidelity_time() const {
 
 namespace {
 
-// Validity interval of the version captured by the latest poll whose copy
-// is visible at time t (polls sorted by completion).
-ValidityInterval held_validity(const UpdateTrace& trace,
-                               const std::vector<PollInstant>& polls,
-                               TimePoint t) {
-  // Last poll with complete <= t.
-  auto it = std::upper_bound(
-      polls.begin(), polls.end(), t,
-      [](TimePoint lhs, const PollInstant& rhs) { return lhs < rhs.complete; });
-  BROADWAY_CHECK_MSG(it != polls.begin(), "queried before the first fetch");
-  const PollInstant& poll = *(it - 1);
-  return trace.validity_at(poll.snapshot);
-}
+// The copy of one object the proxy holds as the sweep moves forward: the
+// last poll completed at or before the sweep instant, and the validity
+// interval of the version it captured.  The validity is recomputed only
+// when the cursor moves.
+class HeldCopy {
+ public:
+  HeldCopy(const UpdateTrace& trace, const std::vector<PollInstant>& polls,
+           TimePoint t)
+      : trace_(trace), polls_(polls) {
+    advance_to(t);
+  }
+
+  void advance_to(TimePoint t) {
+    const std::size_t done =
+        detail::count_at_or_before(polls_, polls_done_, t, detail::completion);
+    if (done == polls_done_) return;
+    polls_done_ = done;
+    version_ = detail::count_at_or_before(trace_.updates(), version_,
+                                          polls_[done - 1].snapshot,
+                                          [](TimePoint u) { return u; });
+    validity_ = trace_.validity_of_version(version_);
+  }
+
+  // First completion after the sweep instant; infinity when none is left.
+  TimePoint next_completion() const {
+    return polls_done_ < polls_.size() ? polls_[polls_done_].complete
+                                       : kTimeInfinity;
+  }
+
+  const ValidityInterval& validity() const { return validity_; }
+
+ private:
+  const UpdateTrace& trace_;
+  const std::vector<PollInstant>& polls_;
+  std::size_t polls_done_ = 0;  // polls completed at or before the instant
+  std::size_t version_ = 0;     // version the last of them captured
+  ValidityInterval validity_;
+};
 
 }  // namespace
 
@@ -43,45 +69,36 @@ MutualTemporalReport evaluate_mutual_temporal(
                      "both objects need at least the initial fetch");
   BROADWAY_CHECK_MSG(delta_mutual >= 0.0, "delta " << delta_mutual);
   BROADWAY_CHECK_MSG(horizon > 0.0, "horizon " << horizon);
+  detail::check_completion_order(polls_a);
+  detail::check_completion_order(polls_b);
 
   MutualTemporalReport report;
   report.horizon = horizon;
   report.polls = polls_a.size() + polls_b.size();
 
-  // Segment boundaries: all completion instants of both schedules within
-  // (start, horizon).  The pair state is constant between boundaries.
+  // Segment boundaries: `start`, every completion of either schedule in
+  // (start, horizon), and `horizon`.  The pair state is constant between
+  // boundaries.
   const TimePoint start =
       std::max(polls_a.front().complete, polls_b.front().complete);
-  std::vector<TimePoint> boundaries;
-  boundaries.push_back(start);
-  for (const auto& poll : polls_a) {
-    if (poll.complete > start && poll.complete < horizon) {
-      boundaries.push_back(poll.complete);
-    }
-  }
-  for (const auto& poll : polls_b) {
-    if (poll.complete > start && poll.complete < horizon) {
-      boundaries.push_back(poll.complete);
-    }
-  }
-  boundaries.push_back(horizon);
-  std::sort(boundaries.begin(), boundaries.end());
-  boundaries.erase(std::unique(boundaries.begin(), boundaries.end()),
-                   boundaries.end());
+  BROADWAY_CHECK_MSG(start <= horizon, "queried before the first fetch");
+  HeldCopy a(trace_a, polls_a, start);
+  HeldCopy b(trace_b, polls_b, start);
 
   bool previously_violated = false;
-  for (std::size_t i = 0; i + 1 < boundaries.size(); ++i) {
-    const TimePoint t0 = boundaries[i];
-    const TimePoint t1 = boundaries[i + 1];
-    if (t1 <= t0) continue;
-    const ValidityInterval va = held_validity(trace_a, polls_a, t0);
-    const ValidityInterval vb = held_validity(trace_b, polls_b, t0);
-    const bool violated = interval_gap(va, vb) > delta_mutual;
+  for (TimePoint t0 = start; t0 < horizon;) {
+    const TimePoint t1 =
+        std::min({a.next_completion(), b.next_completion(), horizon});
+    const bool violated =
+        interval_gap(a.validity(), b.validity()) > delta_mutual;
     if (violated) {
       report.out_sync_time += t1 - t0;
       if (!previously_violated) ++report.violations;
     }
     previously_violated = violated;
+    t0 = t1;
+    a.advance_to(t0);
+    b.advance_to(t0);
   }
   return report;
 }

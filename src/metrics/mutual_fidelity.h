@@ -5,8 +5,11 @@
 // validity intervals come within δ of each other (they overlap when δ = 0
 // suffices: "the objects should have simultaneously existed on the
 // server").  Held versions change only at poll completions, so the pair
-// state is piecewise constant and evaluated by an event sweep over both
-// poll schedules.
+// state is piecewise constant between them.  It is evaluated by one
+// two-cursor sweep over both completion-sorted poll schedules: each cursor
+// walks its schedule once and each held version is found by walking the
+// trace's updates forward, so a pair costs O(n_a + n_b) plus the updates
+// walked, with no sort and no per-segment search.
 #pragma once
 
 #include <vector>
@@ -32,8 +35,9 @@ struct MutualTemporalReport {
 };
 
 /// Evaluate Mt fidelity of two objects.  Both poll vectors must be
-/// non-empty and sorted.  Evaluation starts once both objects are cached
-/// (max of the first completions) and runs to `horizon`.
+/// non-empty with non-decreasing completions (CHECKed).  Evaluation starts
+/// once both objects are cached (max of the first completions) and runs to
+/// `horizon`; it fails when that start lies after `horizon`.
 MutualTemporalReport evaluate_mutual_temporal(
     const UpdateTrace& trace_a, const std::vector<PollInstant>& polls_a,
     const UpdateTrace& trace_b, const std::vector<PollInstant>& polls_b,

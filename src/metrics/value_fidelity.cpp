@@ -1,7 +1,9 @@
 #include "metrics/value_fidelity.h"
 
 #include <algorithm>
+#include <cmath>
 
+#include "metrics/sweep_cursor.h"
 #include "util/check.h"
 
 namespace broadway {
@@ -23,6 +25,7 @@ ValueFidelityReport evaluate_value_fidelity(
   BROADWAY_CHECK_MSG(!polls.empty(), "no polls to evaluate");
   BROADWAY_CHECK_MSG(delta > 0.0, "delta " << delta);
   BROADWAY_CHECK_MSG(horizon > 0.0, "horizon " << horizon);
+  detail::check_completion_order(polls);
 
   ValueFidelityReport report;
   report.horizon = horizon;
@@ -56,42 +59,98 @@ double MutualValueReport::fidelity_time() const {
 
 namespace {
 
-// Cached value at time t: server value at the snapshot of the last poll
-// completed at or before t.
-double cached_value_at(const ValueTrace& trace,
-                       const std::vector<PollInstant>& polls, TimePoint t) {
-  auto it = std::upper_bound(
-      polls.begin(), polls.end(), t,
-      [](TimePoint lhs, const PollInstant& rhs) { return lhs < rhs.complete; });
-  BROADWAY_CHECK_MSG(it != polls.begin(), "queried before the first fetch");
-  const PollInstant& poll = *(it - 1);
-  return trace.value_at(poll.snapshot);
+// Number of steps of `trace` at or before `t`, searched from `hint`.
+std::size_t steps_at_or_before(const ValueTrace& trace, std::size_t hint,
+                               TimePoint t) {
+  return detail::count_at_or_before(
+      trace.steps(), hint, t,
+      [](const ValueTrace::Step& step) { return step.time; });
 }
 
-// Merged event boundaries for a group: trace steps and poll completions in
-// (start, horizon), plus both endpoints.
-std::vector<TimePoint> merged_boundaries(
-    std::span<const ValueTrace* const> traces,
-    std::span<const std::vector<PollInstant>* const> polls, TimePoint start,
-    Duration horizon) {
-  std::vector<TimePoint> out;
-  out.push_back(start);
-  for (const ValueTrace* trace : traces) {
-    for (const auto& step : trace->steps()) {
-      if (step.time > start && step.time < horizon) out.push_back(step.time);
+// Value after `steps` steps of `trace`.
+double value_after(const ValueTrace& trace, std::size_t steps) {
+  return steps == 0 ? trace.initial_value() : trace.steps()[steps - 1].value;
+}
+
+// One member of a group as the sweep moves forward: its server value, and
+// the value of the copy the proxy holds (the server value at the snapshot
+// of the last poll completed at or before the sweep instant).
+class GroupMember {
+ public:
+  GroupMember(const ValueTrace& trace, const std::vector<PollInstant>& polls)
+      : trace_(trace), polls_(polls), server_(trace.initial_value()) {}
+
+  void advance_to(TimePoint t) {
+    const std::size_t steps = steps_at_or_before(trace_, steps_done_, t);
+    if (steps != steps_done_) {
+      steps_done_ = steps;
+      server_ = value_after(trace_, steps);
+    }
+    const std::size_t done =
+        detail::count_at_or_before(polls_, polls_done_, t, detail::completion);
+    BROADWAY_CHECK_MSG(done > 0, "queried before the first fetch");
+    if (done != polls_done_) {
+      polls_done_ = done;
+      held_steps_ =
+          steps_at_or_before(trace_, held_steps_, polls_[done - 1].snapshot);
+      proxy_ = value_after(trace_, held_steps_);
     }
   }
-  for (const auto* schedule : polls) {
-    for (const auto& poll : *schedule) {
-      if (poll.complete > start && poll.complete < horizon) {
-        out.push_back(poll.complete);
-      }
-    }
+
+  // First step or completion after the sweep instant; infinity when none.
+  TimePoint next_event() const {
+    const auto& steps = trace_.steps();
+    return std::min(
+        steps_done_ < steps.size() ? steps[steps_done_].time : kTimeInfinity,
+        polls_done_ < polls_.size() ? polls_[polls_done_].complete
+                                    : kTimeInfinity);
   }
-  out.push_back(horizon);
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
+
+  double server() const { return server_; }
+  double proxy() const { return proxy_; }
+
+ private:
+  const ValueTrace& trace_;
+  const std::vector<PollInstant>& polls_;
+  std::size_t steps_done_ = 0;  // steps at or before the instant
+  std::size_t polls_done_ = 0;  // polls completed at or before the instant
+  std::size_t held_steps_ = 0;  // steps at or before the held snapshot
+  double server_;
+  double proxy_ = 0.0;
+};
+
+// k-way cursor sweep over a group's boundaries: `start`, every trace step
+// and poll completion in (start, horizon), and `horizon`, ascending and
+// unique.  Between boundaries both the server and the proxy values are
+// constant.  Calls `visit(t, next, server, proxy)` at every boundary t,
+// `next` being the following boundary (t itself at `horizon`) and
+// `server[j]` / `proxy[j]` member j's values at t.
+template <typename Visit>
+void sweep_group(std::span<const ValueTrace* const> traces,
+                 std::span<const std::vector<PollInstant>* const> polls,
+                 TimePoint start, Duration horizon, Visit&& visit) {
+  BROADWAY_CHECK_MSG(start <= horizon, "queried before the first fetch");
+  std::vector<GroupMember> members;
+  members.reserve(traces.size());
+  for (std::size_t j = 0; j < traces.size(); ++j) {
+    detail::check_completion_order(*polls[j]);
+    members.emplace_back(*traces[j], *polls[j]);
+  }
+  std::vector<double> server(traces.size());
+  std::vector<double> proxy(traces.size());
+  for (TimePoint t = start;;) {
+    TimePoint next = horizon;
+    for (std::size_t j = 0; j < members.size(); ++j) {
+      members[j].advance_to(t);
+      server[j] = members[j].server();
+      proxy[j] = members[j].proxy();
+      next = std::min(next, members[j].next_event());
+    }
+    visit(t, next, std::span<const double>(server),
+          std::span<const double>(proxy));
+    if (t >= horizon) return;
+    t = next;
+  }
 }
 
 }  // namespace
@@ -115,29 +174,20 @@ MutualValueReport evaluate_mutual_value(
     start = std::max(start, schedule->front().complete);
   }
 
-  const std::vector<TimePoint> boundaries =
-      merged_boundaries(traces, polls, start, horizon);
-
-  std::vector<double> server_values(traces.size());
-  std::vector<double> proxy_values(traces.size());
   bool previously_violated = false;
-  for (std::size_t i = 0; i + 1 < boundaries.size(); ++i) {
-    const TimePoint t0 = boundaries[i];
-    const TimePoint t1 = boundaries[i + 1];
-    if (t1 <= t0) continue;
-    for (std::size_t j = 0; j < traces.size(); ++j) {
-      server_values[j] = traces[j]->value_at(t0);
-      proxy_values[j] = cached_value_at(*traces[j], *polls[j], t0);
-    }
-    const double divergence = std::abs(function.evaluate(server_values) -
-                                       function.evaluate(proxy_values));
-    const bool violated = divergence >= delta;
-    if (violated) {
-      report.out_sync_time += t1 - t0;
-      if (!previously_violated) ++report.violations;
-    }
-    previously_violated = violated;
-  }
+  sweep_group(traces, polls, start, horizon,
+              [&](TimePoint t0, TimePoint t1, std::span<const double> server,
+                  std::span<const double> proxy) {
+                if (t1 <= t0) return;  // the horizon opens no segment
+                const double divergence = std::abs(
+                    function.evaluate(server) - function.evaluate(proxy));
+                const bool violated = divergence >= delta;
+                if (violated) {
+                  report.out_sync_time += t1 - t0;
+                  if (!previously_violated) ++report.violations;
+                }
+                previously_violated = violated;
+              });
   return report;
 }
 
@@ -160,25 +210,16 @@ std::vector<MutualValueSample> mutual_value_series(
   const std::vector<PollInstant>* polls[] = {&polls_a, &polls_b};
   const TimePoint start =
       std::max(polls_a.front().complete, polls_b.front().complete);
-  const std::vector<TimePoint> boundaries =
-      merged_boundaries(traces, polls, start, horizon);
 
+  // One sample per boundary, taken at the boundary itself so that steps
+  // and polls at t are reflected.
   std::vector<MutualValueSample> out;
-  out.reserve(boundaries.size());
-  for (TimePoint t : boundaries) {
-    // Sample just after the boundary so steps/polls at t are reflected.
-    MutualValueSample sample;
-    sample.time = t;
-    const double sa = trace_a.value_at(t);
-    const double sb = trace_b.value_at(t);
-    const double pa = cached_value_at(trace_a, polls_a, t);
-    const double pb = cached_value_at(trace_b, polls_b, t);
-    const double server_values[] = {sa, sb};
-    const double proxy_values[] = {pa, pb};
-    sample.f_server = function.evaluate(server_values);
-    sample.f_proxy = function.evaluate(proxy_values);
-    out.push_back(sample);
-  }
+  sweep_group(traces, polls, start, horizon,
+              [&](TimePoint t, TimePoint, std::span<const double> server,
+                  std::span<const double> proxy) {
+                out.push_back(MutualValueSample{t, function.evaluate(server),
+                                                function.evaluate(proxy)});
+              });
   return out;
 }
 

@@ -3,7 +3,11 @@
 // Δv: the cached value of an object must stay within Δ of the server value
 // at all times.  Mv: |f(server values) − f(cached values)| must stay within
 // δ.  Both are computed exactly from the value traces by sweeping the step
-// and poll events; no sampling error.
+// and poll events; no sampling error.  The Mv evaluator and the Fig. 8
+// series share one k-way cursor sweep over the group's trace steps and
+// poll completions: linear in the events, no sort and no per-segment
+// search.  Every poll vector must have non-decreasing completions; the
+// evaluators CHECK it.
 #pragma once
 
 #include <span>
@@ -27,7 +31,7 @@ struct ValueFidelityReport {
   double fidelity_time() const;
 };
 
-/// Evaluate Δv fidelity.  `polls` non-empty and sorted.
+/// Evaluate Δv fidelity.  `polls` non-empty and sorted by completion.
 ValueFidelityReport evaluate_value_fidelity(
     const ValueTrace& trace, const std::vector<PollInstant>& polls,
     double delta, Duration horizon);
@@ -46,7 +50,8 @@ struct MutualValueReport {
 };
 
 /// Evaluate Mv fidelity of a group of value objects under `f`.
-/// `traces[i]` pairs with `polls[i]`; all poll vectors non-empty/sorted.
+/// `traces[i]` pairs with `polls[i]`; all poll vectors non-empty and
+/// sorted by completion.
 MutualValueReport evaluate_mutual_value(
     std::span<const ValueTrace* const> traces,
     std::span<const std::vector<PollInstant>* const> polls,

@@ -129,12 +129,14 @@ TEST(ProxyFleet, CooperativePushReducesOriginLoadAtEqualFidelity) {
 
   EXPECT_EQ(independent.relays_delivered, 0u);
   EXPECT_GT(cooperative.relays_delivered, 0u);
-  EXPECT_LT(cooperative.origin_polls, independent.origin_polls);
+  EXPECT_LT(cooperative.origin_load.origin_polls,
+            independent.origin_load.origin_polls);
   EXPECT_GE(cooperative.mean_fidelity_time,
             independent.mean_fidelity_time - 1e-9);
   // In lockstep the independent fleet just multiplies the single-proxy
   // load; cooperation should bring it back near 1/N.
-  EXPECT_LT(cooperative.origin_polls, independent.origin_polls / 2);
+  EXPECT_LT(cooperative.origin_load.origin_polls,
+            independent.origin_load.origin_polls / 2);
 }
 
 TEST(ProxyFleet, IndependentModeMatchesScaledSingleProxy) {
@@ -156,7 +158,8 @@ TEST(ProxyFleet, IndependentModeMatchesScaledSingleProxy) {
 
   // Identical policies and seeds-independent schedules: each proxy repeats
   // the single-proxy run against the origin.
-  EXPECT_EQ(three.origin_polls, 3 * one.origin_polls);
+  EXPECT_EQ(three.origin_load.origin_polls,
+            3 * one.origin_load.origin_polls);
   EXPECT_DOUBLE_EQ(three.mean_fidelity_time, one.mean_fidelity_time);
 }
 

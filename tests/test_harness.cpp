@@ -134,7 +134,7 @@ TEST(Harness, ClientFleetRunReportsClientSideMetrics) {
   const auto traces = client_fleet::synthetic_traces();
   const auto result =
       run_fleet_client_temporal(traces, client_fleet::config());
-  EXPECT_GT(result.fleet.origin_polls, 0u);
+  EXPECT_GT(result.fleet.origin_load.origin_polls, 0u);
   EXPECT_GT(result.clients.requests, 0u);
   EXPECT_GT(result.clients.hit_rate(), 0.0);
   EXPECT_EQ(result.clients.fresh + result.clients.stale, result.clients.hits);
@@ -157,7 +157,8 @@ TEST(Harness, ClientFleetRunIsIdenticalSingleSimAndSharded) {
   const auto sharded = run_fleet_client_temporal(traces, config);
 
   EXPECT_EQ(reference.fleet.origin_requests, sharded.fleet.origin_requests);
-  EXPECT_EQ(reference.fleet.origin_polls, sharded.fleet.origin_polls);
+  EXPECT_EQ(reference.fleet.origin_load.origin_polls,
+            sharded.fleet.origin_load.origin_polls);
   EXPECT_EQ(reference.fleet.relays_applied, sharded.fleet.relays_applied);
   EXPECT_EQ(reference.fleet.mean_fidelity_time,
             sharded.fleet.mean_fidelity_time);

@@ -86,6 +86,40 @@ TEST_P(CrossCheckSweep, TemporalEvaluatorMatchesBruteForce) {
   EXPECT_NEAR(report.out_sync_time, brute, slack);
 }
 
+TEST_P(CrossCheckSweep, MutualTemporalEvaluatorMatchesBruteForce) {
+  Rng rng(GetParam() + 3000);
+  const UpdateTrace a("a", generate_poisson(rng, 1.0 / 90.0, kHorizon),
+                      kHorizon);
+  const UpdateTrace b("b", generate_poisson(rng, 1.0 / 60.0, kHorizon),
+                      kHorizon);
+  const auto polls_a = random_polls(rng, kHorizon);
+  const auto polls_b = random_polls(rng, kHorizon);
+  const double delta = rng.uniform(0.0, 60.0);
+
+  const auto report =
+      evaluate_mutual_temporal(a, polls_a, b, polls_b, delta, kHorizon);
+
+  // At each sample instant: do the held versions' validity intervals come
+  // within δ of each other (Eq. 4)?
+  double brute = 0.0;
+  for (double t = kDt / 2.0; t < kHorizon; t += kDt) {
+    auto held = [t](const UpdateTrace& trace,
+                    const std::vector<PollInstant>& polls) {
+      auto it = std::upper_bound(polls.begin(), polls.end(), t,
+                                 [](double lhs, const PollInstant& rhs) {
+                                   return lhs < rhs.complete;
+                                 });
+      return trace.validity_at((it - 1)->snapshot);
+    };
+    if (interval_gap(held(a, polls_a), held(b, polls_b)) > delta) {
+      brute += kDt;
+    }
+  }
+  const double slack =
+      kDt * (2.0 * static_cast<double>(report.violations) + 4.0);
+  EXPECT_NEAR(report.out_sync_time, brute, slack);
+}
+
 TEST_P(CrossCheckSweep, ValueEvaluatorMatchesBruteForce) {
   Rng rng(GetParam() + 1000);
   StockWalkConfig config;

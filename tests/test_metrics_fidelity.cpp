@@ -110,6 +110,10 @@ TEST(TemporalFidelity, Validation) {
                CheckFailure);
   EXPECT_THROW(evaluate_temporal_fidelity(trace, at({0.0}), 10.0, 0.0),
                CheckFailure);
+  // Completions must not decrease.
+  EXPECT_THROW(
+      evaluate_temporal_fidelity(trace, at({0.0, 50.0, 30.0}), 10.0, 100.0),
+      CheckFailure);
 }
 
 TEST(SuccessfulPolls, FiltersLogByUriAndFailure) {

@@ -135,6 +135,10 @@ TEST(MutualTemporal, Validation) {
   EXPECT_THROW(
       evaluate_mutual_temporal(a, at({0.0}), b, at({0.0}), -1.0, 100.0),
       CheckFailure);
+  // Completions must not decrease: a sweep would mis-score them silently.
+  EXPECT_THROW(evaluate_mutual_temporal(a, at({0.0}), b, at({0.0, 50.0, 30.0}),
+                                        0.0, 100.0),
+               CheckFailure);
 }
 
 }  // namespace

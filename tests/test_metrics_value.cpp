@@ -68,6 +68,9 @@ TEST(ValueFidelity, Validation) {
   EXPECT_THROW(evaluate_value_fidelity(trace, {}, 1.0, 10.0), CheckFailure);
   EXPECT_THROW(evaluate_value_fidelity(trace, at({0.0}), 0.0, 10.0),
                CheckFailure);
+  // Completions must not decrease.
+  EXPECT_THROW(evaluate_value_fidelity(trace, at({0.0, 5.0, 3.0}), 1.0, 10.0),
+               CheckFailure);
 }
 
 TEST(MutualValue, ConsistentWhenBothTracked) {
@@ -173,6 +176,13 @@ TEST(MutualValue, Validation) {
       CheckFailure);
   EXPECT_THROW(
       evaluate_mutual_value(a, at({0.0}), b, at({0.0}), f, 0.0, 10.0),
+      CheckFailure);
+  // Completions must not decrease: a sweep would mis-score them silently.
+  EXPECT_THROW(evaluate_mutual_value(a, at({0.0}), b, at({0.0, 5.0, 3.0}), f,
+                                     1.0, 10.0),
+               CheckFailure);
+  EXPECT_THROW(
+      mutual_value_series(a, at({0.0, 5.0, 3.0}), b, at({0.0}), f, 10.0),
       CheckFailure);
 }
 
